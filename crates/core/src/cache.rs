@@ -222,47 +222,6 @@ impl EvalCache {
                 ),
             )
     }
-
-    /// Merge an `adios.evalcache/1` snapshot back into this cache.
-    /// Scores restore exactly (`score_ns` is the authoritative value);
-    /// returns how many entries were imported.
-    pub fn import_snapshot(&self, doc: &simcore::Json) -> Result<usize, String> {
-        use simcore::Json;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != "adios.evalcache/1" {
-            return Err(format!("not an adios.evalcache/1 document (schema '{schema}')"));
-        }
-        let Some(Json::Arr(entries)) = doc.get("entries") else {
-            return Err("snapshot has no entries array".into());
-        };
-        let mut imported = 0usize;
-        for e in entries {
-            let fp_hex = e
-                .get("fingerprint")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry missing fingerprint")?;
-            let fp = u64::from_str_radix(fp_hex, 16)
-                .map_err(|_| format!("bad fingerprint '{fp_hex}'"))?;
-            let plan_code = e
-                .get("plan")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry missing plan")?;
-            let mut assignment = Vec::new();
-            for seg in plan_code.split('>') {
-                assignment.push(
-                    seg.parse::<SchedPair>()
-                        .map_err(|err| format!("bad plan '{plan_code}': {err}"))?,
-                );
-            }
-            let ns = e
-                .get("score_ns")
-                .and_then(Json::as_f64)
-                .ok_or("snapshot entry missing score_ns")?;
-            self.insert_score(fp, &assignment, SimDuration::from_nanos(ns as u64));
-            imported += 1;
-        }
-        Ok(imported)
-    }
 }
 
 impl Experiment {
@@ -366,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_scores_exactly() {
+    fn snapshot_export_is_exact_and_deterministic() {
         let c = EvalCache::new();
         let p = SchedPair::DEFAULT;
         let q = pair(SchedKind::Anticipatory, SchedKind::Deadline);
@@ -385,20 +344,11 @@ mod tests {
         assert!(text.contains("\"schema\":\"adios.evalcache/1\""), "{text}");
         assert!(text.contains("\"workload\":\"sort\""), "{text}");
         assert!(!text.contains("0000000000000063"), "fp 99 must be skipped");
+        // Scores export ns-exact, next to the seconds `whatif` reads.
+        assert!(text.contains("\"score_ns\":30000000001,"), "{text}");
+        assert!(text.contains("\"score_s\":25}"), "{text}");
         // Deterministic bytes: exporting twice is identical.
         assert_eq!(text, c.export_snapshot(&keys).to_string());
-
-        let fresh = EvalCache::new();
-        assert_eq!(fresh.import_snapshot(&doc), Ok(2));
-        assert_eq!(
-            fresh.score(7, &[p, p]),
-            Some(SimDuration::from_nanos(30_000_000_001)),
-            "ns-exact restore through canonicalization"
-        );
-        assert_eq!(fresh.score(7, &[q, p]), Some(SimDuration::from_secs(25)));
-        // Foreign documents are rejected.
-        let bad = simcore::Json::obj().field("schema", "adios.bench/1");
-        assert!(fresh.import_snapshot(&bad).is_err());
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   lookups go through [`BoundaryMap`] indexes that tolerate several
 //!   queued extents sharing one boundary sector. Steady-state add /
 //!   merge / dispatch performs no heap allocation.
-//! * [`NaiveRqPool`] — the retained differential oracle: a `BTreeMap`
-//!   sort list with *linear-scan* merge lookups, trivially correct by
-//!   inspection. `crates/iosched/tests/kernel_diff.rs` drives both
-//!   through identical randomized op traces and asserts bitwise
-//!   equality.
+//! * `NaiveRqPool` — the differential oracle, kept with the tests
+//!   (`tests/naive_pool/`): a `BTreeMap` sort list with *linear-scan*
+//!   merge lookups, trivially correct by inspection.
+//!   `tests/kernel_diff.rs` drives both through identical randomized
+//!   op traces and asserts bitwise equality.
 //!
 //! Merge-candidate semantics (identical in both kernels, pinned by the
 //! differential suite): back merges are tried before front merges, and
@@ -34,19 +34,18 @@ use crate::request::{AddOutcome, Dir, IoRequest, QueuedRq, Sector, StreamId};
 use crate::request::RequestId;
 use simcore::FxHashMap;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 
 /// Stable pool-internal id of a queued request. Survives merges (unlike
 /// `QueuedRq::id()`, which is the first part's id and changes on front
 /// merge). In [`RqPool`] a qid packs `(generation << 32) | slot`; in
-/// [`NaiveRqPool`] it is a plain insertion counter. Either way qids are
+/// the test-side naive oracle it is a plain insertion counter. Either way qids are
 /// never reused for a different request while any holder could still
 /// query them.
 pub type Qid = u64;
 
 /// The request-pool interface every elevator programs against. Both the
-/// slab kernel ([`RqPool`]) and the naive oracle ([`NaiveRqPool`])
-/// implement it, so the differential suite can instantiate whole
+/// slab kernel ([`RqPool`]) and the test-side naive oracle implement
+/// it, so the differential suite can instantiate whole
 /// elevators over either kernel.
 pub trait PoolKernel: Default + Send + std::fmt::Debug + 'static {
     /// Number of queued (merged) requests.
@@ -494,156 +493,6 @@ impl PoolKernel for RqPool {
 }
 
 // ---------------------------------------------------------------------------
-// Naive oracle
-// ---------------------------------------------------------------------------
-
-/// Sort key of the naive kernel: requests are ordered by start sector,
-/// ties broken by qid (== insertion order).
-type NaiveKey = (Sector, Qid);
-
-/// The retained differential oracle: the pre-slab `BTreeMap` pool with
-/// merge lookups done by *linear scan* over the sort list instead of
-/// boundary hash indexes — trivially correct for duplicate boundary
-/// sectors (the single-slot index of the original implementation
-/// dropped one of two extents sharing a boundary). O(n) merges: use
-/// only in tests.
-#[derive(Debug, Default)]
-pub struct NaiveRqPool {
-    sorted: BTreeMap<NaiveKey, QueuedRq>,
-    /// live qid -> key, for FIFO cross-references.
-    live: FxHashMap<Qid, NaiveKey>,
-    next_qid: Qid,
-}
-
-impl NaiveRqPool {
-    /// Empty pool.
-    pub fn new() -> Self {
-        NaiveRqPool::default()
-    }
-
-    fn insert_with_qid(&mut self, rq: QueuedRq, qid: Qid) {
-        let key = (rq.sector, qid);
-        self.live.insert(qid, key);
-        let prev = self.sorted.insert(key, rq);
-        debug_assert!(prev.is_none(), "duplicate pool key");
-    }
-
-    fn remove_by_key(&mut self, key: NaiveKey) -> Option<QueuedRq> {
-        let rq = self.sorted.remove(&key)?;
-        self.live.remove(&key.1);
-        Some(rq)
-    }
-
-    /// Oldest queued extent satisfying `pred` that can absorb
-    /// `add_sectors` more in direction `dir` (linear scan; qid order ==
-    /// insertion order).
-    fn oldest_matching(
-        &self,
-        dir: Dir,
-        add_sectors: u64,
-        max: u64,
-        pred: impl Fn(&QueuedRq) -> bool,
-    ) -> Option<NaiveKey> {
-        self.sorted
-            .iter()
-            .filter(|(_, rq)| pred(rq) && rq.dir == dir && rq.sectors + add_sectors <= max)
-            .min_by_key(|(&(_, qid), _)| qid)
-            .map(|(&key, _)| key)
-    }
-
-    /// Iterate queued requests in sector order.
-    pub fn iter(&self) -> impl Iterator<Item = (Qid, &QueuedRq)> {
-        self.sorted.iter().map(|(&(_, qid), rq)| (qid, rq))
-    }
-}
-
-impl PoolKernel for NaiveRqPool {
-    fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    fn try_merge(&mut self, r: &IoRequest, max_sectors: u64) -> Option<(AddOutcome, Qid)> {
-        // Back merge: an existing extent ends where r starts.
-        if let Some(key) =
-            self.oldest_matching(r.dir, r.sectors, max_sectors, |rq| rq.end() == r.sector)
-        {
-            let rq = self.sorted.get_mut(&key).expect("scan found it");
-            rq.merge_back(r.clone());
-            return Some((AddOutcome::MergedBack(rq.id()), key.1));
-        }
-        // Front merge: an existing extent starts where r ends.
-        if let Some(key) =
-            self.oldest_matching(r.dir, r.sectors, max_sectors, |rq| rq.sector == r.end())
-        {
-            let qid = key.1;
-            // The start sector changes: re-key the entry.
-            let mut rq = self.remove_by_key(key).expect("scan found it");
-            rq.merge_front(r.clone());
-            let id = rq.id();
-            self.insert_with_qid(rq, qid);
-            return Some((AddOutcome::MergedFront(id), qid));
-        }
-        None
-    }
-
-    fn insert(&mut self, rq: QueuedRq) -> Qid {
-        let qid = self.next_qid;
-        self.next_qid += 1;
-        self.insert_with_qid(rq, qid);
-        qid
-    }
-
-    fn remove(&mut self, qid: Qid) -> Option<QueuedRq> {
-        let key = *self.live.get(&qid)?;
-        self.remove_by_key(key)
-    }
-
-    fn contains(&self, qid: Qid) -> bool {
-        self.live.contains_key(&qid)
-    }
-
-    fn get(&self, qid: Qid) -> Option<&QueuedRq> {
-        let key = self.live.get(&qid)?;
-        self.sorted.get(key)
-    }
-
-    fn next_at_or_after(&self, sector: Sector) -> Option<Qid> {
-        self.sorted
-            .range((sector, 0)..)
-            .next()
-            .map(|(&(_, qid), _)| qid)
-    }
-
-    fn first(&self) -> Option<Qid> {
-        self.sorted.keys().next().map(|&(_, qid)| qid)
-    }
-
-    fn prev_before(&self, sector: Sector) -> Option<Qid> {
-        self.sorted
-            .range(..(sector, 0))
-            .next_back()
-            .map(|(&(_, qid), _)| qid)
-    }
-
-    fn drain_all(&mut self) -> Vec<QueuedRq> {
-        self.live.clear();
-        std::mem::take(&mut self.sorted).into_values().collect()
-    }
-
-    fn has_stream(&self, stream: StreamId) -> bool {
-        self.sorted.values().any(|rq| rq.stream == stream)
-    }
-
-    fn closest_from_stream(&self, stream: StreamId, sector: Sector) -> Option<Qid> {
-        self.sorted
-            .iter()
-            .filter(|(_, rq)| rq.stream == stream)
-            .min_by_key(|(_, rq)| rq.sector.abs_diff(sector))
-            .map(|(&(_, qid), _)| qid)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
 
@@ -960,116 +809,5 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(drained[0].sector < drained[1].sector);
         assert!(p.is_empty());
-    }
-
-    /// Regression for the single-slot boundary-index bug: two queued
-    /// extents sharing a boundary sector must *both* stay findable as
-    /// merge candidates, and removing one must not drop the other's
-    /// index entry. The original `HashMap<Sector, Key>` indexes
-    /// overwrote on insert and removed-by-sector on removal, silently
-    /// losing merge candidates. Pinned for both kernels.
-    fn duplicate_boundary_case<P: PoolKernel>() {
-        let mk = |id: u64, sector: u64, sectors: u64, dir: Dir| IoRequest {
-            id,
-            stream: id as u32,
-            sector,
-            sectors,
-            dir,
-            sync: dir == Dir::Read,
-            submitted: SimTime::from_micros(id),
-        };
-        // Two same-direction extents both ending at 200: 100..200 and
-        // 150..200 (overlapping tails happen with duplicate content
-        // ranges; the pool does not forbid them).
-        let mut p = P::default();
-        let (_, qa) = add_with_merge(&mut p, mk(1, 100, 100, Dir::Read), 1024);
-        let (_, qb) = add_with_merge(&mut p, mk(2, 150, 50, Dir::Read), 1024);
-        assert_eq!(p.len(), 2);
-        // A request at 200 back-merges into the *older* extent (qa).
-        let (o, q) = add_with_merge(&mut p, mk(3, 200, 8, Dir::Read), 1024);
-        assert_eq!(o, AddOutcome::MergedBack(1));
-        assert_eq!(q, qa);
-        // qb still ends at 200 and must still be indexed: after qa is
-        // removed, a fresh arrival at 200 merges into qb rather than
-        // queueing (the original index had dropped qb's entry).
-        p.remove(qa).unwrap();
-        let (o, q) = add_with_merge(&mut p, mk(4, 200, 8, Dir::Read), 1024);
-        assert_eq!(o, AddOutcome::MergedBack(2));
-        assert_eq!(q, qb);
-
-        // Same collision on the *start* boundary: two extents starting
-        // at 1000; a front-merge candidate at 992 picks the older one,
-        // and the younger stays findable after the older leaves.
-        let mut p = P::default();
-        let (_, qa) = add_with_merge(&mut p, mk(10, 1000, 64, Dir::Read), 1024);
-        let (_, qb) = add_with_merge(&mut p, mk(11, 1000, 32, Dir::Read), 1024);
-        let (o, q) = add_with_merge(&mut p, mk(12, 992, 8, Dir::Read), 1024);
-        assert_eq!(o, AddOutcome::MergedFront(12));
-        assert_eq!(q, qa);
-        p.remove(qa).unwrap();
-        let (o, q) = add_with_merge(&mut p, mk(13, 992, 8, Dir::Read), 1024);
-        assert_eq!(o, AddOutcome::MergedFront(13));
-        assert_eq!(q, qb);
-
-        // Direction mismatch at a shared boundary: the write ending at
-        // 200 is skipped, the read (inserted later) still merges.
-        let mut p = P::default();
-        add_with_merge(&mut p, mk(20, 100, 100, Dir::Write), 1024);
-        let (_, qr) = add_with_merge(&mut p, mk(21, 150, 50, Dir::Read), 1024);
-        let (o, q) = add_with_merge(&mut p, mk(22, 200, 8, Dir::Read), 1024);
-        assert_eq!(o, AddOutcome::MergedBack(21));
-        assert_eq!(q, qr);
-    }
-
-    #[test]
-    fn duplicate_boundary_sectors_slab() {
-        duplicate_boundary_case::<RqPool>();
-    }
-
-    #[test]
-    fn duplicate_boundary_sectors_naive() {
-        duplicate_boundary_case::<NaiveRqPool>();
-    }
-
-    #[test]
-    fn scan_cursor_survives_churn() {
-        // Interleave scans with inserts/removes around the cursor: the
-        // hint is only a hint, answers must match the naive kernel.
-        let mut p = RqPool::new();
-        let mut n = NaiveRqPool::new();
-        let mut g = simcore::check::Gen::from_seed(7);
-        let mut live: Vec<(Qid, Qid)> = Vec::new();
-        for i in 0..2000u64 {
-            match g.u32_in(0, 10) {
-                0..=4 => {
-                    let r = req(i + 1, g.u64_in(0, 5_000), g.u64_in(1, 64));
-                    let (op, qp) = add_with_merge(&mut p, r.clone(), 1024);
-                    let (on, qn) = add_with_merge(&mut n, r, 1024);
-                    assert_eq!(op, on);
-                    if op == AddOutcome::Queued {
-                        live.push((qp, qn));
-                    }
-                }
-                5..=6 => {
-                    let s = g.u64_in(0, 5_200);
-                    let a = p.next_at_or_after(s).map(|q| p.get(q).unwrap().clone());
-                    let b = n.next_at_or_after(s).map(|q| n.get(q).unwrap().clone());
-                    assert_eq!(a, b, "scan diverged at sector {s}");
-                }
-                _ => {
-                    if !live.is_empty() {
-                        let idx = g.usize_in(0, live.len());
-                        let (qp, qn) = live.swap_remove(idx);
-                        assert_eq!(p.remove(qp), n.remove(qn));
-                    }
-                }
-            }
-            // Merges can consume entries whose qids we hold; prune.
-            live.retain(|&(qp, qn)| {
-                assert_eq!(p.contains(qp), n.contains(qn));
-                p.contains(qp)
-            });
-            assert_eq!(p.len(), n.len());
-        }
     }
 }

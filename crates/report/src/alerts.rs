@@ -19,16 +19,16 @@
 //! metric with no prior value cannot fire (first ingest seeds the
 //! window instead of alerting on it).
 //!
-//! The evaluator runs at bench-ingest time in `adios-report serve`
-//! against the reference window the document is *about to extend* —
-//! so the perturbed document itself never dilutes its own reference.
-//! Fired alerts render as an `adios.alerts/1` document and, in
-//! `--once` mode, a process exit code of 2 (the same convention
-//! `diff --fail-on-delta` uses), which is what lets CI gate a
-//! regression instead of eyeballing the BENCH_* trajectory.
+//! `adios-report history --alert-rules` runs the evaluator against the
+//! reference window each document is *about to extend* — so the
+//! perturbed document itself never dilutes its own reference. Fired
+//! alerts render as an `adios.alerts/1` document (`--alerts-out`) and
+//! a process exit code of 2 (the same convention `diff
+//! --fail-on-delta` uses), which is what lets CI gate a regression
+//! instead of eyeballing the BENCH_* trajectory.
 //!
 //! Pure module: rules and metric windows in, alerts document out; the
-//! serve loop owns all I/O.
+//! CLI owns all I/O.
 
 use simcore::Json;
 
@@ -119,9 +119,9 @@ pub struct Alert {
 }
 
 /// Evaluate `rules` for an incoming metrics map against the trailing
-/// metric maps of the same bench kind (`oldest → newest`, i.e.
-/// [`crate::store::Store::trailing_metrics`] *before* the document is
-/// ingested). Returns every fired alert, in metric order of the
+/// metric maps of the same bench kind (`oldest → newest`, as
+/// [`crate::store::history_append`] reads them from the ledger *before*
+/// appending the document). Returns every fired alert, in metric order of the
 /// incoming document; first-matching rule wins per metric.
 pub fn evaluate(rules: &[AlertRule], incoming: &Json, trailing: &[Json]) -> Vec<Alert> {
     let Json::Obj(fields) = incoming else {

@@ -6,11 +6,9 @@
 //! adios-report replay <flight.json>
 //! adios-report rank --metrics-dir <dir> [--require-crossover]
 //! adios-report correlate --metrics-dir <dir>
-//! adios-report history --ledger <file> <doc.json>...
+//! adios-report history --ledger <file> [--alert-rules <json>] [--alerts-out <json>] <doc.json>...
 //! adios-report whatif --metrics-dir <dir> --nodes N --vms V --data-mb D [--workload W]
-//! adios-report serve --watch <dir> [--once] [--ledger <file>]
-//!              [--query-file <jsonl>] [--alert-rules <json>]
-//!              [--alerts-out <json>] [--poll-ms N] [--tcp addr:port]
+//! adios-report overlap --metrics-dir <dir>
 //! ```
 //!
 //! A path of `-` reads from stdin. `render` exits non-zero on parse or
@@ -20,15 +18,22 @@
 //! exist, not their values — the right gate for committed benchmark
 //! baselines whose timings drift from machine to machine.
 //!
-//! The cross-run analytics commands ingest manifest-stamped
+//! The cross-run analytics commands read manifest-stamped
 //! `adios.metrics/2` documents produced by `repro-cli sweep
 //! --metrics-dir`: `rank` prints per-phase plan rankings per (shape,
 //! data) group and exits 2 under `--require-crossover` when no
 //! phase-local ranking crossover exists anywhere (the D6 gate);
 //! `correlate` prints gain-vs-queue-depth/disk-busy tables (the D3
-//! diagnosis); `history` appends `adios.bench/1` documents to an
-//! append-only JSONL ledger with regression deltas, deterministically
-//! and idempotently.
+//! diagnosis); `whatif` answers the best plan for a configuration from
+//! measured runs and `tune --cache-out` snapshots in the directory;
+//! `overlap` prints the mean non-concurrent shuffle share per
+//! `--parallel-copies` setting against Table II (the D4 probe).
+//! `history` appends `adios.bench/1` and `adios.profile/1` documents
+//! to an append-only JSONL ledger with regression deltas,
+//! deterministically and idempotently; with `--alert-rules` each
+//! document is first checked against the ledger's trailing window, and
+//! the command exits 2 (writing `--alerts-out` as `adios.alerts/1`)
+//! when an appended document fires a rule.
 
 use simcore::Json;
 use std::io::Read as _;
@@ -54,10 +59,10 @@ fn usage() -> ExitCode {
     eprintln!("       adios-report replay <flight.json>");
     eprintln!("       adios-report rank --metrics-dir <dir> [--require-crossover]");
     eprintln!("       adios-report correlate --metrics-dir <dir>");
-    eprintln!("       adios-report history --ledger <file> <doc.json>...");
+    eprintln!("       adios-report history --ledger <file> [--alert-rules <json>] [--alerts-out <json>]");
+    eprintln!("                            <doc.json>...");
     eprintln!("       adios-report whatif --metrics-dir <dir> --nodes N --vms V --data-mb D [--workload W]");
-    eprintln!("       adios-report serve --watch <dir> [--once] [--ledger <file>] [--query-file <jsonl>]");
-    eprintln!("                          [--alert-rules <json>] [--alerts-out <json>] [--poll-ms N] [--tcp addr:port]");
+    eprintln!("       adios-report overlap --metrics-dir <dir>");
     ExitCode::FAILURE
 }
 
@@ -90,13 +95,34 @@ fn load_metrics_dir(dir: &str) -> Result<Vec<(String, Json)>, String> {
     Ok(docs)
 }
 
+/// The arguments that are neither flags nor the values of `value_flags`.
+fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+    let mut out = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if value_flags.contains(&a.as_str()) {
+            it.next();
+        } else if !a.starts_with("--") {
+            out.push(a);
+        }
+    }
+    out
+}
+
+fn parse_u64(args: &[String], flag: &str) -> Result<u64, String> {
+    flag_value(args, flag)
+        .ok_or_else(|| format!("whatif needs {flag}"))?
+        .parse::<u64>()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
 fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
+    use report::store;
     match args[0].as_str() {
         "rank" => {
             let dir = flag_value(args, "--metrics-dir").ok_or("rank needs --metrics-dir")?;
             let require = args.iter().any(|a| a == "--require-crossover");
-            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
-            let r = report::store::rank(&runs)?;
+            let r = store::rank(&store::load_runs(&load_metrics_dir(dir)?)?)?;
             print!("{}", r.text);
             if require && r.crossovers == 0 {
                 eprintln!("adios-report: no phase-local ranking crossover found");
@@ -106,80 +132,86 @@ fn run_store_command(args: &[String]) -> Result<ExitCode, String> {
         }
         "correlate" => {
             let dir = flag_value(args, "--metrics-dir").ok_or("correlate needs --metrics-dir")?;
-            let runs = report::store::load_runs(&load_metrics_dir(dir)?)?;
-            print!("{}", report::store::correlate(&runs)?);
+            let runs = store::load_runs(&load_metrics_dir(dir)?)?;
+            print!("{}", store::correlate(&runs)?);
+            Ok(ExitCode::SUCCESS)
+        }
+        "overlap" => {
+            let dir = flag_value(args, "--metrics-dir").ok_or("overlap needs --metrics-dir")?;
+            let runs = store::load_runs(&load_metrics_dir(dir)?)?;
+            println!("{}", store::overlap(&runs).to_string());
             Ok(ExitCode::SUCCESS)
         }
         "history" => {
             let path = flag_value(args, "--ledger").ok_or("history needs --ledger <file>")?;
-            let docs: Vec<&String> = args[1..]
-                .iter()
-                .filter(|a| !a.starts_with("--") && a.as_str() != path)
-                .collect();
+            let docs = positional(&args[1..], &["--ledger", "--alert-rules", "--alerts-out"]);
             if docs.is_empty() {
                 return Err("history needs at least one bench document".into());
             }
+            let rules = match flag_value(args, "--alert-rules") {
+                Some(r) => report::alerts::parse_rules(&load(r)?, r)?,
+                None => Vec::new(),
+            };
             let mut ledger = match std::fs::read_to_string(path) {
                 Ok(s) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
                 Err(e) => return Err(format!("{path}: {e}")),
             };
+            let mut fired = Vec::new();
+            let mut fired_source = (String::new(), String::new());
             for d in docs {
-                let doc = load(d)?;
-                let out = report::store::history_append(&ledger, &doc, d)?;
+                let out = store::history_append(&ledger, &load(d)?, d, &rules)?;
                 println!("{}", out.line);
+                for a in &out.fired {
+                    eprintln!(
+                        "ALERT {}: {:.3} vs trailing {:.3} ({:+.2}% > {:+.2}% over {} entries)",
+                        a.metric, a.value, a.reference, a.delta_pct, a.max_delta_pct, a.window
+                    );
+                }
+                if !out.fired.is_empty() {
+                    fired_source = (out.kind, d.clone());
+                    fired.extend(out.fired);
+                }
                 ledger = out.ledger;
             }
             std::fs::write(path, &ledger).map_err(|e| format!("{path}: {e}"))?;
-            Ok(ExitCode::SUCCESS)
+            if fired.is_empty() {
+                return Ok(ExitCode::SUCCESS);
+            }
+            if let Some(out) = flag_value(args, "--alerts-out") {
+                let doc = report::alerts::alerts_doc(&fired_source.0, &fired_source.1, &fired);
+                std::fs::write(out, format!("{}\n", doc.to_string())).map_err(|e| format!("{out}: {e}"))?;
+            }
+            eprintln!("adios-report: {} alert(s) fired", fired.len());
+            Ok(ExitCode::from(2))
         }
         "whatif" => {
             let dir = flag_value(args, "--metrics-dir").ok_or("whatif needs --metrics-dir")?;
-            let nodes = flag_value(args, "--nodes").ok_or("whatif needs --nodes")?;
-            let vms = flag_value(args, "--vms").ok_or("whatif needs --vms")?;
-            let data_mb = flag_value(args, "--data-mb").ok_or("whatif needs --data-mb")?;
+            let nodes = parse_u64(args, "--nodes")?;
+            let vms = parse_u64(args, "--vms")?;
+            let data_mb = parse_u64(args, "--data-mb")?;
             let workload = flag_value(args, "--workload").unwrap_or("?");
-            let mut store = report::store::Store::new();
+            let mut named = Vec::new();
+            let mut cache = Vec::new();
             for (name, doc) in load_metrics_dir(dir)? {
-                // Bench and profile documents in a watched dir feed
-                // the ledger, not the what-if table; skip them here.
+                // Bench/profile documents feed the ledger and service
+                // documents carry no run manifest: neither plans.
                 let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-                if schema == "adios.bench/1" || schema == "adios.profile/1" {
-                    continue;
+                let service = doc.get("manifest").is_none()
+                    && doc.get("kind").and_then(Json::as_str) == Some("service");
+                match schema {
+                    "adios.evalcache/1" => cache.extend(store::cache_entries(&name, &doc)?),
+                    "adios.bench/1" | "adios.profile/1" => {}
+                    _ if service => {}
+                    _ => named.push((name, doc)),
                 }
-                store.ingest_metrics(&name, &doc)?;
             }
-            // Route through the serve query engine so the printed line
-            // is byte-identical to a daemon answer on the same inputs.
-            let query = Json::obj()
-                .field("q", "whatif")
-                .field("nodes", nodes.parse::<u64>().map_err(|e| format!("--nodes: {e}"))?)
-                .field("vms_per_node", vms.parse::<u64>().map_err(|e| format!("--vms: {e}"))?)
-                .field(
-                    "data_mb_per_vm",
-                    data_mb.parse::<u64>().map_err(|e| format!("--data-mb: {e}"))?,
-                )
-                .field("workload", workload);
-            println!("{}", report::serve::handle_query(&store, &query.to_string()));
+            let runs = store::load_runs(&named)?;
+            println!(
+                "{}",
+                store::whatif(&runs, &cache, nodes, vms, data_mb, workload).to_string()
+            );
             Ok(ExitCode::SUCCESS)
-        }
-        "serve" => {
-            let opts = report::serve::ServeOptions {
-                watch: flag_value(args, "--watch")
-                    .ok_or("serve needs --watch <dir>")?
-                    .to_string(),
-                once: args.iter().any(|a| a == "--once"),
-                ledger: flag_value(args, "--ledger").map(str::to_string),
-                alert_rules: flag_value(args, "--alert-rules").map(str::to_string),
-                alerts_out: flag_value(args, "--alerts-out").map(str::to_string),
-                query_file: flag_value(args, "--query-file").map(str::to_string),
-                poll_ms: flag_value(args, "--poll-ms")
-                    .map(|v| v.parse::<u64>().map_err(|e| format!("--poll-ms: {e}")))
-                    .transpose()?
-                    .unwrap_or(250),
-                tcp: flag_value(args, "--tcp").map(str::to_string),
-            };
-            Ok(ExitCode::from(report::serve::run(&opts)?))
         }
         _ => unreachable!(),
     }
@@ -283,7 +315,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("rank" | "correlate" | "history" | "whatif" | "serve") => match run_store_command(&args) {
+        Some("rank" | "correlate" | "overlap" | "history" | "whatif") => match run_store_command(&args) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("adios-report: {e}");

@@ -1,7 +1,7 @@
-//! Cross-run analytics: ingest `adios.metrics/2|3` documents stamped
-//! with a run manifest (see `vcluster::sweep::stamp_manifest`) and
-//! `adios.bench/1` ledger entries, and answer the questions the
-//! discrepancy log keeps asking:
+//! Cross-run analytics over manifest-stamped `adios.metrics/2|3`
+//! documents (see `vcluster::sweep::stamp_manifest`) and the
+//! `adios.bench/1` ledger — the one-shot questions the discrepancy log
+//! keeps asking:
 //!
 //! * [`rank`] — per-phase ranking tables of switch plans within each
 //!   (shape, data size) group, flagging *phase-local ranking
@@ -12,46 +12,30 @@
 //! * [`correlate`] — per-group gain-vs-signal table (Dom0 queue depth,
 //!   disk busy fraction) with Pearson coefficients, the D3 diagnosis
 //!   tool for non-monotone gains across cluster shapes.
+//! * [`whatif`] — the best plan for a (shape, data, workload) key from
+//!   eval-cache snapshots and measured runs, with provenance.
+//! * [`overlap`] — mean non-concurrent shuffle share per shuffle
+//!   fetch-concurrency setting against Table II (the D4 probe).
 //! * [`history_append`] — an append-only JSONL ledger of
 //!   `adios.bench/1` documents with regression deltas against the
-//!   previous entry of the same kind. Entries are a pure function of
-//!   document content (no timestamps, host-time fields excluded from
-//!   the identity digest), so re-running the command over the same
+//!   previous entry of the same kind, checked against alert rules
+//!   before the append. Entries are a pure function of document
+//!   content (no timestamps, host-time fields excluded from the
+//!   identity digest), so re-running the command over the same
 //!   documents is byte-identical and idempotent.
 //!
-//! Since PR 8 the module is built around the **incremental**
-//! [`Store`]: documents are parsed and reduced to a [`RunExtract`]
-//! exactly once at ingest, and the per-(shape, data) aggregates —
-//! phase ranking rows, Pearson moment accumulators, the
-//! dedup-by-digest ledger state — are maintained as documents arrive
-//! instead of recomputed per query. The batch entry points below build
-//! a throw-away `Store`, so the long-running `adios-report serve`
-//! daemon and the one-shot subcommands share one code path and answer
-//! byte-identically on the same inputs.
-//!
-//! Incremental-aggregate invariants (kept by every ingest):
-//!
-//! 1. Group members are ordered by (plan, file); every rendered table
-//!    walks that order, so ingest order never leaks into output.
-//! 2. Each phase-ranking row is a sorted `(time, run)` list, extended
-//!    by sorted insertion; ties break by (plan, file).
-//! 3. The Pearson accumulators hold the fold of the group's points
-//!    *in member order*: an at-end insertion with an unchanged
-//!    baseline pushes one point, anything else (new baseline, middle
-//!    insertion) rebuilds the group's accumulators from the cached
-//!    extracts. Either way the state equals the member-order fold, so
-//!    any ingest order yields identical coefficients.
-//! 4. A document whose content digest was already ingested is a no-op
-//!    — for metrics docs and for ledger entries alike, across store
-//!    instances sharing one ledger file.
+//! Every function takes the whole run list and orders it itself:
+//! group members by (plan, file), phase-ranking rows by (time, plan,
+//! file), and the Pearson moments fold in member order. The order the
+//! caller passes runs in never reaches the output.
 //!
 //! Like the rest of this crate the module is pure: callers hand in
 //! parsed documents (plus their file names for error messages) and get
-//! rendered text or ledger lines back; `main.rs` and `serve.rs` own
-//! all I/O.
+//! rendered text or ledger lines back; `main.rs` owns all I/O.
 
+use crate::alerts::{self, Alert, AlertRule};
 use simcore::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One ingested metrics document plus the identity of its run, pulled
 /// from the `manifest` section.
@@ -160,28 +144,6 @@ const PHASES: [&str; 3] = ["ph1_s", "ph2_s", "ph3_s"];
 /// reference the D4 overlap sweep compares against.
 pub const TABLE2_SHUFFLE_PCT: f64 = 29.5;
 
-/// Per-phase plan rankings within each (shape, data) group, with
-/// crossover detection. `Err` on an empty set or a document missing
-/// its `phases` section.
-pub fn rank(runs: &[Run]) -> Result<RankReport, String> {
-    store_of(runs)?.rank()
-}
-
-/// Gain-vs-signal tables per group: each plan's makespan gain over the
-/// group baseline against Dom0 queue depth and disk busy fraction,
-/// plus Pearson coefficients over the group (D3 diagnosis).
-pub fn correlate(runs: &[Run]) -> Result<String, String> {
-    store_of(runs)?.correlate()
-}
-
-fn store_of(runs: &[Run]) -> Result<Store, String> {
-    let mut s = Store::new();
-    for r in runs {
-        s.ingest_run(r);
-    }
-    Ok(s)
-}
-
 /// Mean of a full-telemetry time series (`sum[]` / `count[]` buckets),
 /// if the document carries one.
 fn series_mean(doc: &Json, name: &str) -> Option<f64> {
@@ -198,14 +160,10 @@ fn series_mean(doc: &Json, name: &str) -> Option<f64> {
     }
 }
 
-// --- incremental store ------------------------------------------------
-
 /// Single-pass Pearson moment accumulator: push `(x, y)` points, read
-/// the coefficient any time. The store keeps one pair of these per
-/// (shape, data) group, extended at ingest instead of re-folding every
-/// run on every `correlate` query.
+/// the coefficient at the end.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PearsonAcc {
+struct PearsonAcc {
     n: u64,
     sx: f64,
     sy: f64,
@@ -215,8 +173,7 @@ pub struct PearsonAcc {
 }
 
 impl PearsonAcc {
-    /// Fold one point in.
-    pub fn push(&mut self, x: f64, y: f64) {
+    fn push(&mut self, x: f64, y: f64) {
         self.n += 1;
         self.sx += x;
         self.sy += y;
@@ -227,7 +184,7 @@ impl PearsonAcc {
 
     /// Pearson r over the pushed points; `None` below 3 points or on a
     /// degenerate (zero-variance) axis.
-    pub fn r(&self) -> Option<f64> {
+    fn r(&self) -> Option<f64> {
         if self.n < 3 {
             return None;
         }
@@ -240,50 +197,33 @@ impl PearsonAcc {
         let cov = self.sxy - self.sx * self.sy / n;
         Some(cov / (vx * vy).sqrt())
     }
-
-    /// Points folded so far.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// True when no point has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
 }
 
-/// The per-run facts every query needs, extracted exactly once when
-/// the document is ingested. Optional fields stay `None` when the
-/// document lacks the signal; the query that needs them reports the
-/// same error the batch path always has.
+/// The per-run facts the queries need. Optional fields stay `None`
+/// when the document lacks the signal; the query that needs them
+/// reports the error.
 #[derive(Debug, Clone)]
 struct RunExtract {
     file: String,
     plan: String,
     workload: String,
     makespan_s: Option<f64>,
-    phases: Option<[f64; 3]>,
-    /// Which phase key was missing, for the error message.
-    missing_phase: Option<&'static str>,
+    /// Phase times, or the first missing phase key.
+    phases: Result<[f64; 3], &'static str>,
     qdepth: Option<f64>,
     /// Disk-busy fraction (busy_s normalised to one disk-second per
     /// node over the makespan).
     busy: Option<f64>,
-    shuffle_pct: Option<f64>,
 }
 
 impl RunExtract {
     fn from_run(r: &Run) -> RunExtract {
-        let mut phases = [0.0f64; 3];
-        let mut missing_phase = None;
+        let mut phases = Ok([0.0f64; 3]);
         for (i, ph) in PHASES.iter().enumerate() {
-            match num(&r.doc, &["phases", ph]) {
-                Some(t) => phases[i] = t,
-                None => {
-                    if missing_phase.is_none() {
-                        missing_phase = Some(*ph);
-                    }
-                }
+            match (num(&r.doc, &["phases", ph]), &mut phases) {
+                (Some(t), Ok(p)) => p[i] = t,
+                (None, Ok(_)) => phases = Err(*ph),
+                (_, Err(_)) => {}
             }
         }
         let makespan_s = num(&r.doc, &["run", "makespan_s"]);
@@ -298,172 +238,174 @@ impl RunExtract {
             plan: r.plan.clone(),
             workload: r.workload.clone(),
             makespan_s,
-            phases: if missing_phase.is_none() { Some(phases) } else { None },
-            missing_phase,
+            phases,
             qdepth,
             busy,
-            shuffle_pct: num(&r.doc, &["phases", "non_concurrent_shuffle_pct"]),
         }
     }
 }
 
-/// One (shape, data) group's maintained aggregates.
-#[derive(Debug, Default)]
-struct GroupState {
-    /// Extracts in ingest order (stable ids; never reordered).
-    runs: Vec<RunExtract>,
-    /// Run ids sorted by (plan, file) — the render order.
-    order: Vec<usize>,
-    /// Per-phase `(time, run-id)` rows sorted by (time, plan, file).
-    rows: [Vec<(f64, usize)>; 3],
-    /// Cached crossover lines (recomputed for this group at ingest).
-    crossovers: Vec<String>,
-    /// Run id of the gain baseline (`cc`/`default`, else first in
-    /// order).
-    baseline: Option<usize>,
-    /// Gain-vs-queue-depth moments, member-order fold.
-    acc_qd: PearsonAcc,
-    /// Gain-vs-disk-busy moments, member-order fold.
-    acc_busy: PearsonAcc,
+/// Runs grouped by (nodes, vms, data MB), each group's members sorted
+/// by (plan, file) — the order every table walks.
+fn groups(runs: &[Run]) -> BTreeMap<(u64, u64, u64), Vec<RunExtract>> {
+    let mut groups: BTreeMap<(u64, u64, u64), Vec<RunExtract>> = BTreeMap::new();
+    for r in runs {
+        groups
+            .entry((r.nodes, r.vms, r.data_mb))
+            .or_default()
+            .push(RunExtract::from_run(r));
+    }
+    for members in groups.values_mut() {
+        members.sort_by(|a, b| (&a.plan, &a.file).cmp(&(&b.plan, &b.file)));
+    }
+    groups
 }
 
-impl GroupState {
-    fn member_key(&self, id: usize) -> (&str, &str) {
-        (self.runs[id].plan.as_str(), self.runs[id].file.as_str())
-    }
-
-    fn pick_baseline(&self) -> Option<usize> {
-        self.order
-            .iter()
-            .copied()
-            .find(|&id| self.runs[id].plan == "cc" || self.runs[id].plan == "default")
-            .or(self.order.first().copied())
-    }
-
-    /// Gain of run `id` over the baseline, when both makespans exist.
-    fn gain_pct(&self, id: usize) -> Option<f64> {
-        let base = self.baseline?;
-        let base_mk = self.runs[base].makespan_s?;
-        let mk = self.runs[id].makespan_s?;
-        Some((base_mk - mk) / base_mk * 100.0)
-    }
-
-    fn push_point(&mut self, id: usize) {
-        let (Some(gain), Some(qd), Some(busy)) =
-            (self.gain_pct(id), self.runs[id].qdepth, self.runs[id].busy)
-        else {
-            return;
-        };
-        self.acc_qd.push(gain, qd);
-        self.acc_busy.push(gain, busy);
-    }
-
-    fn rebuild_accumulators(&mut self) {
-        self.acc_qd = PearsonAcc::default();
-        self.acc_busy = PearsonAcc::default();
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            self.push_point(id);
-        }
-    }
-
-    /// Fold one new extract into every aggregate. Returns the change
-    /// in this group's crossover count.
-    fn ingest(&mut self, e: RunExtract) -> isize {
-        let id = self.runs.len();
-        self.runs.push(e);
-        let key = self.member_key(id);
-        let pos = self
-            .order
-            .iter()
-            .position(|&o| self.member_key(o) > key)
-            .unwrap_or(self.order.len());
-        let at_end = pos == self.order.len();
-        self.order.insert(pos, id);
-
-        if let Some(ph) = self.runs[id].phases {
-            for (i, row) in self.rows.iter_mut().enumerate() {
-                let t = ph[i];
-                // (time, plan, file) insertion point — matches the
-                // batch sort the rows replaced.
-                let runs = &self.runs;
-                let rpos = row
-                    .iter()
-                    .position(|&(rt, rid)| {
-                        (rt, runs[rid].plan.as_str(), runs[rid].file.as_str())
-                            > (t, runs[id].plan.as_str(), runs[id].file.as_str())
-                    })
-                    .unwrap_or(row.len());
-                row.insert(rpos, (t, id));
+/// A crossover between plans A and B: A strictly faster in one phase,
+/// strictly slower in another. Each pair is reported once, in member
+/// order.
+fn crossover_lines(members: &[RunExtract], phases: &[[f64; 3]]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for a in 0..phases.len() {
+        for b in a + 1..phases.len() {
+            let (pa, pb) = (phases[a], phases[b]);
+            let mut a_wins = Vec::new();
+            let mut b_wins = Vec::new();
+            for ph in 0..PHASES.len() {
+                if pa[ph] < pb[ph] {
+                    a_wins.push(ph + 1);
+                } else if pb[ph] < pa[ph] {
+                    b_wins.push(ph + 1);
+                }
+            }
+            if !a_wins.is_empty() && !b_wins.is_empty() {
+                lines.push(format!(
+                    "  ** crossover: {} wins ph{:?}, {} wins ph{:?}",
+                    members[a].plan, a_wins, members[b].plan, b_wins
+                ));
             }
         }
+    }
+    lines
+}
 
-        let old_cross = self.crossovers.len() as isize;
-        self.recompute_crossovers();
+/// Per-phase plan rankings within each (shape, data) group, with
+/// crossover detection. `Err` on an empty set or a document missing
+/// its `phases` section.
+pub fn rank(runs: &[Run]) -> Result<RankReport, String> {
+    if runs.is_empty() {
+        return Err("no runs to rank".into());
+    }
+    let mut out = String::new();
+    let mut crossovers = 0;
+    out.push_str("adios cross-run ranking (adios.metrics/2)\n");
+    for (key, members) in groups(runs) {
+        out.push('\n');
+        out.push_str(&group_header(key, members.len()));
+        // A run without a phases section poisons the whole rank.
+        let mut phases = Vec::with_capacity(members.len());
+        for m in &members {
+            phases.push(m.phases.map_err(|ph| format!("{}: missing phases.{ph}", m.file))?);
+        }
+        for i in 0..PHASES.len() {
+            let mut row: Vec<(f64, usize)> = phases.iter().map(|p| p[i]).zip(0..).collect();
+            row.sort_by(|a, b| {
+                a.0.total_cmp(&b.0)
+                    .then_with(|| members[a.1].plan.cmp(&members[b.1].plan))
+                    .then_with(|| members[a.1].file.cmp(&members[b.1].file))
+            });
+            let best = row[0].0;
+            out.push_str(&format!("  ph{}", i + 1));
+            for (j, &(t, id)) in row.iter().enumerate() {
+                let plan = &members[id].plan;
+                if j == 0 {
+                    out.push_str(&format!("  1. {plan} {t:.3}s"));
+                } else {
+                    out.push_str(&format!("  {}. {plan} +{:.3}s", j + 1, t - best));
+                }
+            }
+            out.push('\n');
+        }
+        let lines = crossover_lines(&members, &phases);
+        for line in &lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+        if lines.is_empty() {
+            out.push_str("  (no phase-local ranking crossover)\n");
+        }
+        crossovers += lines.len();
+    }
+    out.push_str(&format!("\ncrossovers: {crossovers}\n"));
+    Ok(RankReport {
+        text: out,
+        crossovers,
+    })
+}
 
-        let new_baseline = self.pick_baseline();
-        if new_baseline == self.baseline && at_end {
-            self.push_point(id);
+/// Gain-vs-signal tables per group: each plan's makespan gain over the
+/// group baseline (`cc`/`default`, else the first member) against Dom0
+/// queue depth and disk busy fraction, plus Pearson coefficients over
+/// the group (D3 diagnosis).
+pub fn correlate(runs: &[Run]) -> Result<String, String> {
+    if runs.is_empty() {
+        return Err("no runs to correlate".into());
+    }
+    let mut out = String::new();
+    out.push_str("adios cross-run correlation (adios.metrics/2)\n");
+    for (key, members) in groups(runs) {
+        out.push('\n');
+        out.push_str(&group_header(key, members.len()));
+        let base = members
+            .iter()
+            .find(|m| m.plan == "cc" || m.plan == "default")
+            .unwrap_or(&members[0]);
+        let base_mk = base
+            .makespan_s
+            .ok_or_else(|| format!("{}: missing run.makespan_s", base.file))?;
+        out.push_str(&format!(
+            "  baseline {} makespan {:.3}s\n  {:<10} {:>10} {:>8} {:>8} {:>9}\n",
+            base.plan, base_mk, "plan", "makespan", "gain%", "qdepth", "busy"
+        ));
+        let mut acc_qd = PearsonAcc::default();
+        let mut acc_busy = PearsonAcc::default();
+        for r in &members {
+            let mk = r
+                .makespan_s
+                .ok_or_else(|| format!("{}: missing run.makespan_s", r.file))?;
+            let gain = (base_mk - mk) / base_mk * 100.0;
+            let qd = r
+                .qdepth
+                .ok_or_else(|| format!("{}: no queue-depth signal", r.file))?;
+            let busy = r
+                .busy
+                .ok_or_else(|| format!("{}: missing disk.busy_s", r.file))?;
+            acc_qd.push(gain, qd);
+            acc_busy.push(gain, busy);
+            out.push_str(&format!(
+                "  {:<10} {:>9.3}s {:>8.2} {:>8.2} {:>9.3}\n",
+                r.plan, mk, gain, qd, busy
+            ));
+        }
+        if members.len() < 3 {
+            out.push_str("  (fewer than 3 runs — no correlation)\n");
         } else {
-            self.baseline = new_baseline;
-            self.rebuild_accumulators();
-        }
-        self.crossovers.len() as isize - old_cross
-    }
-
-    /// A crossover between plans A and B: A strictly faster in one
-    /// phase, strictly slower in another. Count each pair once.
-    fn recompute_crossovers(&mut self) {
-        self.crossovers.clear();
-        let phased: Vec<usize> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&id| self.runs[id].phases.is_some())
-            .collect();
-        for a in 0..phased.len() {
-            for b in a + 1..phased.len() {
-                let (pa, pb) = (
-                    self.runs[phased[a]].phases.unwrap(),
-                    self.runs[phased[b]].phases.unwrap(),
-                );
-                let mut a_wins = Vec::new();
-                let mut b_wins = Vec::new();
-                for ph in 0..PHASES.len() {
-                    if pa[ph] < pb[ph] {
-                        a_wins.push(ph + 1);
-                    } else if pb[ph] < pa[ph] {
-                        b_wins.push(ph + 1);
-                    }
-                }
-                if !a_wins.is_empty() && !b_wins.is_empty() {
-                    self.crossovers.push(format!(
-                        "  ** crossover: {} wins ph{:?}, {} wins ph{:?}",
-                        self.runs[phased[a]].plan, a_wins, self.runs[phased[b]].plan, b_wins
-                    ));
-                }
-            }
+            // A degenerate axis (zero variance) has no coefficient.
+            let fmt = |c: Option<f64>| c.map_or("n/a".into(), |c| format!("{c:+.3}"));
+            out.push_str(&format!(
+                "  corr(gain, qdepth) = {}   corr(gain, busy) = {}\n",
+                fmt(acc_qd.r()),
+                fmt(acc_busy.r())
+            ));
         }
     }
-}
-
-/// A service-level (`adios.metrics/3`, no manifest) document's SLO
-/// extract, kept for the `service` query.
-#[derive(Debug, Clone)]
-struct ServiceExtract {
-    file: String,
-    policy: String,
-    p50_s: f64,
-    p99_s: f64,
-    throughput_jpm: f64,
-    map_util: f64,
-    reduce_util: f64,
+    Ok(out)
 }
 
 /// One plan's expected score for a (shape, data, workload) key, loaded
 /// from an `adios.evalcache/1` snapshot.
 #[derive(Debug, Clone)]
-struct CacheEntry {
+pub struct CacheEntry {
     nodes: u64,
     vms: u64,
     data_mb: u64,
@@ -472,168 +414,22 @@ struct CacheEntry {
     score_s: f64,
 }
 
-/// Per-kind ledger state the history ingest maintains instead of
-/// re-parsing the full JSONL text per document.
-#[derive(Debug, Default)]
-struct LedgerKind {
-    /// Every digest ever appended for this kind — re-ingesting any of
-    /// them (not just the latest) is a no-op, even across store
-    /// instances sharing one ledger file.
-    digests: BTreeSet<String>,
-    /// The latest entry's metrics map (delta reference).
-    last_metrics: Option<Json>,
-    /// Trailing metric maps, oldest → newest (alerting window input).
-    history: Vec<Json>,
-}
-
-/// What [`Store::ingest_metrics`] did with a document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ingested {
-    /// A manifest-stamped run joined the rank/correlate groups.
-    Run,
-    /// A service-level document joined the SLO list.
-    Service,
-    /// An `adios.evalcache/1` snapshot merged N what-if entries.
-    CacheEntries(usize),
-    /// Content digest already ingested — no state changed.
-    Duplicate,
-}
-
-/// Outcome of [`history_append`] / [`Store::ingest_bench`].
-#[derive(Debug)]
-pub struct HistoryOutcome {
-    /// The full new ledger text (caller writes it back).
-    pub ledger: String,
-    /// One-line human summary of what happened.
-    pub line: String,
-    /// False when the document's digest was already in the ledger
-    /// (idempotent re-run) and nothing was appended.
-    pub appended: bool,
-    /// Worst regression percentage vs the previous entry, if any
-    /// comparison was possible. Positive = slower.
-    pub worst_pct: Option<f64>,
-}
-
-/// The incremental cross-run analytics store. See the module docs for
-/// the maintained aggregates and their invariants.
-#[derive(Debug, Default)]
-pub struct Store {
-    groups: BTreeMap<(u64, u64, u64), GroupState>,
-    run_count: usize,
-    /// Content digests of every ingested document (metrics, service,
-    /// cache snapshots) — the dedup set.
-    doc_digests: BTreeSet<u64>,
-    services: Vec<ServiceExtract>,
-    cache_entries: Vec<CacheEntry>,
-    /// Sum of per-group crossover counts.
-    crossovers: usize,
-    /// Mean non-concurrent-shuffle share per parallel-copies setting
-    /// (sum, count) — the D4 overlap aggregate.
-    overlap: BTreeMap<u64, (f64, u64)>,
-    // --- ledger state ---
-    ledger: String,
-    ledger_entries: usize,
-    kinds: BTreeMap<String, LedgerKind>,
-}
-
-impl Store {
-    /// Empty store.
-    pub fn new() -> Store {
-        Store::default()
-    }
-
-    /// Number of metrics runs ingested into rank/correlate groups.
-    pub fn runs(&self) -> usize {
-        self.run_count
-    }
-
-    /// Number of (shape, data) groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Ingest one named document: manifest-stamped `adios.metrics/*`
-    /// runs feed the rank/correlate groups, manifest-less
-    /// `adios.metrics/3` service docs feed the SLO list, and
-    /// `adios.evalcache/1` snapshots feed the what-if table. A
-    /// document whose content digest was already ingested is a no-op.
-    pub fn ingest_metrics(&mut self, file: &str, doc: &Json) -> Result<Ingested, String> {
-        let digest = fnv1a_str(&doc.to_string());
-        if !self.doc_digests.insert(digest) {
-            return Ok(Ingested::Duplicate);
-        }
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema == "adios.evalcache/1" {
-            return Ok(Ingested::CacheEntries(self.ingest_cache_doc(file, doc)?));
-        }
-        if !schema.starts_with("adios.metrics/") {
-            return Err(format!(
-                "{file}: not an adios.metrics document (schema '{schema}')"
-            ));
-        }
-        if doc.get("manifest").is_none() {
-            // Service-level documents (`serve-jobs`) carry no manifest;
-            // anything else without one is a misuse the batch loader
-            // has always rejected.
-            if doc.get("kind").and_then(Json::as_str) == Some("service") {
-                self.ingest_service(file, doc);
-                return Ok(Ingested::Service);
-            }
-            return Err(format!(
-                "{file}: no manifest section — produced without --metrics-dir?"
-            ));
-        }
-        let runs = load_runs(&[(file.to_string(), doc.clone())])?;
-        self.ingest_run(&runs[0]);
-        Ok(Ingested::Run)
-    }
-
-    /// Ingest an already-validated [`Run`] (the batch path).
-    pub fn ingest_run(&mut self, r: &Run) {
-        let e = RunExtract::from_run(r);
-        if r.parallel_copies > 0 {
-            if let Some(pct) = e.shuffle_pct {
-                let slot = self.overlap.entry(r.parallel_copies).or_insert((0.0, 0));
-                slot.0 += pct;
-                slot.1 += 1;
-            }
-        }
-        let g = self.groups.entry((r.nodes, r.vms, r.data_mb)).or_default();
-        let delta = g.ingest(e);
-        self.crossovers = (self.crossovers as isize + delta) as usize;
-        self.run_count += 1;
-    }
-
-    fn ingest_service(&mut self, file: &str, doc: &Json) {
-        self.services.push(ServiceExtract {
-            file: file.to_string(),
-            policy: doc
-                .get("policy")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            p50_s: num(doc, &["latency", "p50_s"]).unwrap_or(0.0),
-            p99_s: num(doc, &["latency", "p99_s"]).unwrap_or(0.0),
-            throughput_jpm: num(doc, &["service", "throughput_jpm"]).unwrap_or(0.0),
-            map_util: num(doc, &["slots", "map_util"]).unwrap_or(0.0),
-            reduce_util: num(doc, &["slots", "reduce_util"]).unwrap_or(0.0),
-        });
-        self.services.sort_by(|a, b| a.file.cmp(&b.file));
-    }
-
-    fn ingest_cache_doc(&mut self, file: &str, doc: &Json) -> Result<usize, String> {
-        let Some(Json::Arr(entries)) = doc.get("entries") else {
-            return Err(format!("{file}: evalcache snapshot has no entries array"));
-        };
-        let mut added = 0usize;
-        for e in entries {
+/// The what-if entries of an `adios.evalcache/1` snapshot (written by
+/// `repro-cli tune --cache-out`).
+pub fn cache_entries(file: &str, doc: &Json) -> Result<Vec<CacheEntry>, String> {
+    let Some(Json::Arr(entries)) = doc.get("entries") else {
+        return Err(format!("{file}: evalcache snapshot has no entries array"));
+    };
+    entries
+        .iter()
+        .map(|e| {
             let plan = e
                 .get("plan")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("{file}: snapshot entry missing plan"))?;
-            let score = num(e, &["score_s"])
+            let score_s = num(e, &["score_s"])
                 .ok_or_else(|| format!("{file}: snapshot entry missing score_s"))?;
-            self.cache_entries.push(CacheEntry {
+            Ok(CacheEntry {
                 nodes: num(e, &["nodes"]).unwrap_or(0.0) as u64,
                 vms: num(e, &["vms_per_node"]).unwrap_or(0.0) as u64,
                 data_mb: num(e, &["data_mb_per_vm"]).unwrap_or(0.0) as u64,
@@ -643,429 +439,10 @@ impl Store {
                     .unwrap_or("?")
                     .to_string(),
                 plan: plan.to_string(),
-                score_s: score,
-            });
-            added += 1;
-        }
-        Ok(added)
-    }
-
-    // --- queries ------------------------------------------------------
-
-    /// Per-phase plan rankings per group with crossover detection —
-    /// rendered from the maintained rows, no document re-reads.
-    pub fn rank(&self) -> Result<RankReport, String> {
-        if self.run_count == 0 {
-            return Err("no runs to rank".into());
-        }
-        let mut out = String::new();
-        out.push_str("adios cross-run ranking (adios.metrics/2)\n");
-        for (key, g) in &self.groups {
-            out.push('\n');
-            out.push_str(&group_header(*key, g.order.len()));
-            // A run without a phases section poisons the whole rank —
-            // same contract as the batch path always had.
-            for &id in &g.order {
-                if let Some(ph) = g.runs[id].missing_phase {
-                    return Err(format!("{}: missing phases.{ph}", g.runs[id].file));
-                }
-            }
-            for (i, row) in g.rows.iter().enumerate() {
-                let best = row[0].0;
-                out.push_str(&format!("  ph{}", i + 1));
-                for (j, &(t, id)) in row.iter().enumerate() {
-                    let plan = &g.runs[id].plan;
-                    if j == 0 {
-                        out.push_str(&format!("  1. {plan} {t:.3}s"));
-                    } else {
-                        out.push_str(&format!("  {}. {plan} +{:.3}s", j + 1, t - best));
-                    }
-                }
-                out.push('\n');
-            }
-            for line in &g.crossovers {
-                out.push_str(line);
-                out.push('\n');
-            }
-            if g.crossovers.is_empty() {
-                out.push_str("  (no phase-local ranking crossover)\n");
-            }
-        }
-        out.push_str(&format!("\ncrossovers: {}\n", self.crossovers));
-        Ok(RankReport {
-            text: out,
-            crossovers: self.crossovers,
-        })
-    }
-
-    /// Gain-vs-signal tables per group with Pearson coefficients from
-    /// the maintained moment accumulators.
-    pub fn correlate(&self) -> Result<String, String> {
-        if self.run_count == 0 {
-            return Err("no runs to correlate".into());
-        }
-        let mut out = String::new();
-        out.push_str("adios cross-run correlation (adios.metrics/2)\n");
-        for (key, g) in &self.groups {
-            out.push('\n');
-            out.push_str(&group_header(*key, g.order.len()));
-            let base = g.baseline.expect("non-empty group has a baseline");
-            let base_mk = g.runs[base]
-                .makespan_s
-                .ok_or_else(|| format!("{}: missing run.makespan_s", g.runs[base].file))?;
-            out.push_str(&format!(
-                "  baseline {} makespan {:.3}s\n  {:<10} {:>10} {:>8} {:>8} {:>9}\n",
-                g.runs[base].plan, base_mk, "plan", "makespan", "gain%", "qdepth", "busy"
-            ));
-            for &id in &g.order {
-                let r = &g.runs[id];
-                let mk = r
-                    .makespan_s
-                    .ok_or_else(|| format!("{}: missing run.makespan_s", r.file))?;
-                let gain = (base_mk - mk) / base_mk * 100.0;
-                let qd = r
-                    .qdepth
-                    .ok_or_else(|| format!("{}: no queue-depth signal", r.file))?;
-                let busy = r
-                    .busy
-                    .ok_or_else(|| format!("{}: missing disk.busy_s", r.file))?;
-                out.push_str(&format!(
-                    "  {:<10} {:>9.3}s {:>8.2} {:>8.2} {:>9.3}\n",
-                    r.plan, mk, gain, qd, busy
-                ));
-            }
-            if g.order.len() < 3 {
-                out.push_str("  (fewer than 3 runs — no correlation)\n");
-            } else {
-                // A degenerate axis (zero variance) has no coefficient.
-                let fmt = |c: Option<f64>| c.map_or("n/a".into(), |c| format!("{c:+.3}"));
-                out.push_str(&format!(
-                    "  corr(gain, qdepth) = {}   corr(gain, busy) = {}\n",
-                    fmt(g.acc_qd.r()),
-                    fmt(g.acc_busy.r())
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Answer a what-if plan query: best plan for (shape, data,
-    /// workload), with provenance. Sources, in preference order: the
-    /// eval-cache snapshot (exact key), an exact ingested metrics
-    /// group (`cached`), nearest-manifest interpolation over the data
-    /// axis (`interpolated`), nothing (`unknown`). Never simulates.
-    pub fn whatif(&self, nodes: u64, vms: u64, data_mb: u64, workload: &str) -> Json {
-        let base = Json::obj()
-            .field("q", "whatif")
-            .field("nodes", nodes)
-            .field("vms_per_node", vms)
-            .field("data_mb_per_vm", data_mb)
-            .field("workload", workload);
-
-        // 1. Exact eval-cache snapshot key.
-        let mut best: Option<(f64, &str)> = None;
-        for e in &self.cache_entries {
-            if (e.nodes, e.vms, e.data_mb) == (nodes, vms, data_mb)
-                && workload_matches(&e.workload, workload)
-            {
-                let cand = (e.score_s, e.plan.as_str());
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        if let Some((score, plan)) = best {
-            return base
-                .field("plan", plan)
-                .field("expected_makespan_s", score)
-                .field("provenance", "cached")
-                .field("source", "evalcache");
-        }
-
-        // 2. Exact ingested metrics group.
-        if let Some(g) = self.groups.get(&(nodes, vms, data_mb)) {
-            if let Some((mk, plan)) = group_best(g, workload) {
-                return base
-                    .field("plan", plan)
-                    .field("expected_makespan_s", mk)
-                    .field("provenance", "cached")
-                    .field("source", "metrics");
-            }
-        }
-
-        // 3. Nearest-manifest interpolation along the data axis.
-        let mut sized: Vec<(u64, &GroupState)> = self
-            .groups
-            .iter()
-            .filter(|((n, v, _), g)| {
-                (*n, *v) == (nodes, vms) && group_best(g, workload).is_some()
+                score_s,
             })
-            .map(|((_, _, mb), g)| (*mb, g))
-            .collect();
-        sized.sort_by_key(|(mb, _)| *mb);
-        let lo = sized.iter().rev().find(|(mb, _)| *mb < data_mb);
-        let hi = sized.iter().find(|(mb, _)| *mb > data_mb);
-        match (lo, hi) {
-            (Some((mb_lo, g_lo)), Some((mb_hi, g_hi))) => {
-                // Linear interpolation per plan present on both sides;
-                // the answer is the argmin of interpolated makespans.
-                let frac = (data_mb - mb_lo) as f64 / (mb_hi - mb_lo) as f64;
-                let mut best: Option<(f64, &str)> = None;
-                for &id in &g_lo.order {
-                    let r = &g_lo.runs[id];
-                    if !workload_matches(&r.workload, workload) {
-                        continue;
-                    }
-                    let (Some(mk_lo), Some(other)) = (
-                        r.makespan_s,
-                        g_hi.order.iter().map(|&j| &g_hi.runs[j]).find(|o| {
-                            o.plan == r.plan && workload_matches(&o.workload, workload)
-                        }),
-                    ) else {
-                        continue;
-                    };
-                    let Some(mk_hi) = other.makespan_s else { continue };
-                    let mk = mk_lo + (mk_hi - mk_lo) * frac;
-                    let cand = (mk, r.plan.as_str());
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-                if let Some((mk, plan)) = best {
-                    return base
-                        .field("plan", plan)
-                        .field("expected_makespan_s", mk)
-                        .field("provenance", "interpolated")
-                        .field("source", format!("metrics:{mb_lo}mb..{mb_hi}mb"));
-                }
-            }
-            (Some((mb, g)), None) | (None, Some((mb, g))) => {
-                if let Some((mk, plan)) = group_best(g, workload) {
-                    return base
-                        .field("plan", plan)
-                        .field("expected_makespan_s", mk)
-                        .field("provenance", "interpolated")
-                        .field("source", format!("metrics:nearest {mb}mb"));
-                }
-            }
-            (None, None) => {}
-        }
-        base.field("provenance", "unknown")
-    }
-
-    /// The D4 overlap report: mean non-concurrent-shuffle share per
-    /// shuffle-fetch-concurrency (`parallel_copies`) setting, and
-    /// which setting lands closest to `target_pct` (Table II).
-    pub fn overlap(&self, target_pct: f64) -> Json {
-        let mut rows = Vec::new();
-        let mut best: Option<(f64, u64, f64)> = None; // (|Δ|, pc, mean)
-        for (&pc, &(sum, n)) in &self.overlap {
-            let mean = sum / n as f64;
-            rows.push(
-                Json::obj()
-                    .field("parallel_copies", pc)
-                    .field("mean_shuffle_pct", mean)
-                    .field("runs", n),
-            );
-            let cand = ((mean - target_pct).abs(), pc, mean);
-            if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                best = Some(cand);
-            }
-        }
-        let mut out = Json::obj()
-            .field("q", "overlap")
-            .field("target_pct", target_pct)
-            .field("settings", Json::Arr(rows));
-        if let Some((delta, pc, mean)) = best {
-            out = out
-                .field("best_parallel_copies", pc)
-                .field("best_mean_shuffle_pct", mean)
-                .field("best_delta_pct", delta);
-        }
-        out
-    }
-
-    /// Service-level SLO lines, one per ingested `adios.metrics/3`
-    /// document, sorted by file.
-    pub fn service_slos(&self) -> Json {
-        Json::Arr(
-            self.services
-                .iter()
-                .map(|s| {
-                    Json::obj()
-                        .field("file", s.file.clone())
-                        .field("policy", s.policy.clone())
-                        .field("p50_latency_s", s.p50_s)
-                        .field("p99_latency_s", s.p99_s)
-                        .field("throughput_jpm", s.throughput_jpm)
-                        .field("map_slot_util", s.map_util)
-                        .field("reduce_slot_util", s.reduce_util)
-                })
-                .collect(),
-        )
-    }
-
-    /// Ingest-state counters (the `stats` query).
-    pub fn stats(&self) -> Json {
-        Json::obj()
-            .field("runs", self.run_count)
-            .field("groups", self.groups.len())
-            .field("crossovers", self.crossovers)
-            .field("services", self.services.len())
-            .field("cache_entries", self.cache_entries.len())
-            .field("ledger_entries", self.ledger_entries)
-    }
-
-    /// Ledger summary (the `history` query): total entry count plus
-    /// per-kind entry and distinct-digest counts.
-    pub fn history_summary(&self) -> Json {
-        Json::obj()
-            .field("q", "history")
-            .field("entries", self.ledger_entries as u64)
-            .field(
-                "kinds",
-                Json::Arr(
-                    self.kinds
-                        .iter()
-                        .map(|(kind, k)| {
-                            Json::obj()
-                                .field("kind", kind.clone())
-                                .field("entries", k.history.len() as u64)
-                                .field("digests", k.digests.len() as u64)
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    // --- ledger -------------------------------------------------------
-
-    /// Adopt an existing JSONL ledger: parse every entry into the
-    /// per-kind digest sets and trailing windows. The text is kept
-    /// verbatim so appends stay byte-stable.
-    pub fn load_ledger(&mut self, text: &str) -> Result<(), String> {
-        self.ledger = String::new();
-        self.ledger_entries = 0;
-        self.kinds.clear();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e = Json::parse(line).map_err(|err| format!("ledger line {}: {err}", i + 1))?;
-            let kind = e
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("ledger line {}: entry has no kind", i + 1))?
-                .to_string();
-            let k = self.kinds.entry(kind).or_default();
-            if let Some(d) = e.get("digest").and_then(Json::as_str) {
-                k.digests.insert(d.to_string());
-            }
-            if let Some(m) = e.get("metrics") {
-                k.last_metrics = Some(m.clone());
-                k.history.push(m.clone());
-            }
-            self.ledger_entries += 1;
-        }
-        self.ledger = text.to_string();
-        Ok(())
-    }
-
-    /// The current ledger text (write it back after ingests).
-    pub fn ledger(&self) -> &str {
-        &self.ledger
-    }
-
-    /// Trailing metric maps of a bench kind, oldest → newest — the
-    /// alert evaluator's reference window input.
-    pub fn trailing_metrics(&self, kind: &str) -> &[Json] {
-        self.kinds.get(kind).map(|k| k.history.as_slice()).unwrap_or(&[])
-    }
-
-    /// Append an `adios.bench/1` document to the ledger, computing
-    /// regression deltas against the previous entry of the same kind.
-    /// The identity digest covers only the deterministic metrics map —
-    /// host-time fields like `wall_s` never enter the ledger — and a
-    /// digest seen *anywhere* in the ledger (not just the latest
-    /// entry) is deduplicated instead of re-appended, so re-ingesting
-    /// an old document is a no-op even across daemon restarts.
-    pub fn ingest_bench(&mut self, doc: &Json, file: &str) -> Result<HistoryOutcome, String> {
-        let (kind, metrics) = bench_metrics(doc, file)?;
-        let digest = format!("{:016x}", fnv1a_str(&metrics.to_string()));
-        let k = self.kinds.entry(kind.clone()).or_default();
-        if k.digests.contains(&digest) {
-            return Ok(HistoryOutcome {
-                ledger: self.ledger.clone(),
-                line: format!("history: {kind} unchanged (digest {digest}), not appended"),
-                appended: false,
-                worst_pct: None,
-            });
-        }
-
-        let Json::Obj(fields) = &metrics else { unreachable!() };
-        let metric_count = fields.len();
-        let seq = self.ledger_entries + 1;
-        let mut entry = Json::obj()
-            .field("seq", seq as u64)
-            .field("kind", kind.as_str())
-            .field("digest", digest.as_str())
-            .field("entries", metric_count as u64);
-        let mut worst: Option<(f64, String)> = None;
-        if let Some(p) = &k.last_metrics {
-            let mut compared = 0u64;
-            let mut best: Option<(f64, String)> = None;
-            for (name, v) in fields {
-                let (Some(new), Some(old)) = (v.as_f64(), num(p, &[name])) else {
-                    continue;
-                };
-                if old == 0.0 {
-                    continue;
-                }
-                let pct = (new - old) / old * 100.0;
-                compared += 1;
-                if worst.as_ref().is_none_or(|(w, _)| pct > *w) {
-                    worst = Some((pct, name.clone()));
-                }
-                if best.as_ref().is_none_or(|(b, _)| pct < *b) {
-                    best = Some((pct, name.clone()));
-                }
-            }
-            entry = entry.field("compared", compared);
-            if let (Some((w, wn)), Some((b, bn))) = (&worst, &best) {
-                entry = entry
-                    .field("worst_pct", *w)
-                    .field("worst", wn.as_str())
-                    .field("best_pct", *b)
-                    .field("best", bn.as_str());
-            }
-        }
-        entry = entry.field("metrics", metrics.clone());
-
-        if !self.ledger.is_empty() && !self.ledger.ends_with('\n') {
-            self.ledger.push('\n');
-        }
-        self.ledger.push_str(&entry.to_string());
-        self.ledger.push('\n');
-        self.ledger_entries = seq;
-        k.digests.insert(digest);
-        k.last_metrics = Some(metrics.clone());
-        k.history.push(metrics);
-
-        let line = match &worst {
-            Some((w, wn)) => format!(
-                "history: {kind} seq {seq} appended, {metric_count} metrics, worst delta {w:+.2}% ({wn})"
-            ),
-            None => format!(
-                "history: {kind} seq {seq} appended, {metric_count} metrics (first of its kind)"
-            ),
-        };
-        Ok(HistoryOutcome {
-            ledger: self.ledger.clone(),
-            line,
-            appended: true,
-            worst_pct: worst.map(|(w, _)| w),
         })
-    }
+        .collect()
 }
 
 fn workload_matches(have: &str, want: &str) -> bool {
@@ -1073,10 +450,9 @@ fn workload_matches(have: &str, want: &str) -> bool {
 }
 
 /// Best (makespan, plan) of a group among workload-matching members.
-fn group_best<'a>(g: &'a GroupState, workload: &str) -> Option<(f64, &'a str)> {
+fn group_best<'a>(members: &'a [RunExtract], workload: &str) -> Option<(f64, &'a str)> {
     let mut best: Option<(f64, &str)> = None;
-    for &id in &g.order {
-        let r = &g.runs[id];
+    for r in members {
         if !workload_matches(&r.workload, workload) {
             continue;
         }
@@ -1089,9 +465,160 @@ fn group_best<'a>(g: &'a GroupState, workload: &str) -> Option<(f64, &'a str)> {
     best
 }
 
+/// Answer a what-if plan query: best plan for (shape, data, workload),
+/// with provenance. Sources, in preference order: an eval-cache
+/// snapshot entry (exact key), an exact measured group (`cached`),
+/// nearest-manifest interpolation over the data axis
+/// (`interpolated`), nothing (`unknown`). Never simulates.
+pub fn whatif(
+    runs: &[Run],
+    cache: &[CacheEntry],
+    nodes: u64,
+    vms: u64,
+    data_mb: u64,
+    workload: &str,
+) -> Json {
+    let base = Json::obj()
+        .field("q", "whatif")
+        .field("nodes", nodes)
+        .field("vms_per_node", vms)
+        .field("data_mb_per_vm", data_mb)
+        .field("workload", workload);
+
+    // 1. Exact eval-cache snapshot key.
+    let mut best: Option<(f64, &str)> = None;
+    for e in cache {
+        if (e.nodes, e.vms, e.data_mb) == (nodes, vms, data_mb)
+            && workload_matches(&e.workload, workload)
+        {
+            let cand = (e.score_s, e.plan.as_str());
+            if best.is_none_or(|b| cand < b) {
+                best = Some(cand);
+            }
+        }
+    }
+    if let Some((score, plan)) = best {
+        return base
+            .field("plan", plan)
+            .field("expected_makespan_s", score)
+            .field("provenance", "cached")
+            .field("source", "evalcache");
+    }
+
+    // 2. Exact measured group.
+    let groups = groups(runs);
+    if let Some((mk, plan)) = groups
+        .get(&(nodes, vms, data_mb))
+        .and_then(|g| group_best(g, workload))
+    {
+        return base
+            .field("plan", plan)
+            .field("expected_makespan_s", mk)
+            .field("provenance", "cached")
+            .field("source", "metrics");
+    }
+
+    // 3. Nearest-manifest interpolation along the data axis (the
+    // BTreeMap walks data sizes in ascending order).
+    let sized: Vec<(u64, &Vec<RunExtract>)> = groups
+        .iter()
+        .filter(|((n, v, _), g)| (*n, *v) == (nodes, vms) && group_best(g, workload).is_some())
+        .map(|((_, _, mb), g)| (*mb, g))
+        .collect();
+    let lo = sized.iter().rev().find(|(mb, _)| *mb < data_mb);
+    let hi = sized.iter().find(|(mb, _)| *mb > data_mb);
+    match (lo, hi) {
+        (Some((mb_lo, g_lo)), Some((mb_hi, g_hi))) => {
+            // Linear interpolation per plan present on both sides; the
+            // answer is the argmin of interpolated makespans.
+            let frac = (data_mb - mb_lo) as f64 / (mb_hi - mb_lo) as f64;
+            let mut best: Option<(f64, &str)> = None;
+            for r in g_lo.iter() {
+                if !workload_matches(&r.workload, workload) {
+                    continue;
+                }
+                let (Some(mk_lo), Some(other)) = (
+                    r.makespan_s,
+                    g_hi.iter()
+                        .find(|o| o.plan == r.plan && workload_matches(&o.workload, workload)),
+                ) else {
+                    continue;
+                };
+                let Some(mk_hi) = other.makespan_s else { continue };
+                let mk = mk_lo + (mk_hi - mk_lo) * frac;
+                let cand = (mk, r.plan.as_str());
+                if best.is_none_or(|b| cand < b) {
+                    best = Some(cand);
+                }
+            }
+            if let Some((mk, plan)) = best {
+                return base
+                    .field("plan", plan)
+                    .field("expected_makespan_s", mk)
+                    .field("provenance", "interpolated")
+                    .field("source", format!("metrics:{mb_lo}mb..{mb_hi}mb"));
+            }
+        }
+        (Some((mb, g)), None) | (None, Some((mb, g))) => {
+            if let Some((mk, plan)) = group_best(g, workload) {
+                return base
+                    .field("plan", plan)
+                    .field("expected_makespan_s", mk)
+                    .field("provenance", "interpolated")
+                    .field("source", format!("metrics:nearest {mb}mb"));
+            }
+        }
+        (None, None) => {}
+    }
+    base.field("provenance", "unknown")
+}
+
+/// The D4 overlap report: mean non-concurrent-shuffle share per
+/// shuffle-fetch-concurrency (`parallel_copies`) setting, and which
+/// setting lands closest to [`TABLE2_SHUFFLE_PCT`]. Runs without a
+/// recorded setting are ignored; shares are summed in file order.
+pub fn overlap(runs: &[Run]) -> Json {
+    let mut stamped: Vec<&Run> = runs.iter().filter(|r| r.parallel_copies > 0).collect();
+    stamped.sort_by(|a, b| a.file.cmp(&b.file));
+    let mut per_setting: BTreeMap<u64, (f64, u64)> = BTreeMap::new();
+    for r in stamped {
+        if let Some(pct) = num(&r.doc, &["phases", "non_concurrent_shuffle_pct"]) {
+            let slot = per_setting.entry(r.parallel_copies).or_insert((0.0, 0));
+            slot.0 += pct;
+            slot.1 += 1;
+        }
+    }
+    let mut rows = Vec::new();
+    let mut best: Option<(f64, u64, f64)> = None; // (|Δ|, pc, mean)
+    for (&pc, &(sum, n)) in &per_setting {
+        let mean = sum / n as f64;
+        rows.push(
+            Json::obj()
+                .field("parallel_copies", pc)
+                .field("mean_shuffle_pct", mean)
+                .field("runs", n),
+        );
+        let cand = ((mean - TABLE2_SHUFFLE_PCT).abs(), pc, mean);
+        if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
+            best = Some(cand);
+        }
+    }
+    let mut out = Json::obj()
+        .field("q", "overlap")
+        .field("target_pct", TABLE2_SHUFFLE_PCT)
+        .field("settings", Json::Arr(rows));
+    if let Some((delta, pc, mean)) = best {
+        out = out
+            .field("best_parallel_copies", pc)
+            .field("best_mean_shuffle_pct", mean)
+            .field("best_delta_pct", delta);
+    }
+    out
+}
+
 // --- history ledger ---------------------------------------------------
 
-pub(crate) fn fnv1a_str(s: &str) -> u64 {
+fn fnv1a_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in s.as_bytes() {
         h ^= *b as u64;
@@ -1104,9 +631,8 @@ pub(crate) fn fnv1a_str(s: &str) -> u64 {
 /// document order. `mean_ns` per benchmark for micro docs,
 /// `makespan_s` per cell for sweep docs, and `profile_<sub>_share_pct`
 /// per subsystem for `adios.profile/1` docs (kind `profile` — the
-/// wall-time attribution regression signal). Public so the alert
-/// evaluator can classify a document before it is ingested.
-pub fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
+/// wall-time attribution regression signal).
+fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema == "adios.profile/1" {
         let mut shares =
@@ -1174,14 +700,138 @@ pub fn bench_metrics(doc: &Json, file: &str) -> Result<(String, Json), String> {
     }
 }
 
-/// Append `doc` to the JSONL ledger (batch form: parses the ledger
-/// into a throw-away [`Store`] and delegates to
-/// [`Store::ingest_bench`], so the daemon and the subcommand behave
-/// identically).
-pub fn history_append(ledger: &str, doc: &Json, file: &str) -> Result<HistoryOutcome, String> {
-    let mut s = Store::new();
-    s.load_ledger(ledger)?;
-    s.ingest_bench(doc, file)
+/// Outcome of [`history_append`].
+#[derive(Debug)]
+pub struct HistoryOutcome {
+    /// The full new ledger text (caller writes it back).
+    pub ledger: String,
+    /// One-line human summary of what happened.
+    pub line: String,
+    /// Ledger kind of the document (`micro`, `sweep`, `profile`).
+    pub kind: String,
+    /// False when the document's digest was already in the ledger
+    /// (idempotent re-run) and nothing was appended.
+    pub appended: bool,
+    /// Worst regression percentage vs the previous entry, if any
+    /// comparison was possible. Positive = slower.
+    pub worst_pct: Option<f64>,
+    /// Alert rules the appended document tripped against the trailing
+    /// window it extended (always empty when nothing was appended).
+    pub fired: Vec<Alert>,
+}
+
+/// Append `doc` to the JSONL ledger, computing regression deltas
+/// against the previous entry of the same kind and evaluating `rules`
+/// against the trailing window *before* the document extends it. The
+/// identity digest covers only the deterministic metrics map —
+/// host-time fields like `wall_s` never enter the ledger — and a
+/// digest seen *anywhere* in the ledger (not just the latest entry) is
+/// deduplicated instead of re-appended.
+pub fn history_append(
+    ledger: &str,
+    doc: &Json,
+    file: &str,
+    rules: &[AlertRule],
+) -> Result<HistoryOutcome, String> {
+    let mut entries = Vec::new();
+    for (i, line) in ledger.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let e = Json::parse(line).map_err(|err| format!("ledger line {}: {err}", i + 1))?;
+        if e.get("kind").and_then(Json::as_str).is_none() {
+            return Err(format!("ledger line {}: entry has no kind", i + 1));
+        }
+        entries.push(e);
+    }
+    let (kind, metrics) = bench_metrics(doc, file)?;
+    let digest = format!("{:016x}", fnv1a_str(&metrics.to_string()));
+    let same_kind: Vec<&Json> = entries
+        .iter()
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some(kind.as_str()))
+        .collect();
+    if same_kind
+        .iter()
+        .any(|e| e.get("digest").and_then(Json::as_str) == Some(digest.as_str()))
+    {
+        return Ok(HistoryOutcome {
+            ledger: ledger.to_string(),
+            line: format!("history: {kind} unchanged (digest {digest}), not appended"),
+            kind,
+            appended: false,
+            worst_pct: None,
+            fired: Vec::new(),
+        });
+    }
+    // Trailing metric maps of this kind, oldest → newest.
+    let trailing: Vec<Json> = same_kind
+        .iter()
+        .filter_map(|e| e.get("metrics").cloned())
+        .collect();
+
+    let Json::Obj(fields) = &metrics else { unreachable!() };
+    let metric_count = fields.len();
+    let seq = entries.len() + 1;
+    let mut entry = Json::obj()
+        .field("seq", seq as u64)
+        .field("kind", kind.as_str())
+        .field("digest", digest.as_str())
+        .field("entries", metric_count as u64);
+    let mut worst: Option<(f64, String)> = None;
+    if let Some(p) = trailing.last() {
+        let mut compared = 0u64;
+        let mut best: Option<(f64, String)> = None;
+        for (name, v) in fields {
+            let (Some(new), Some(old)) = (v.as_f64(), num(p, &[name])) else {
+                continue;
+            };
+            if old == 0.0 {
+                continue;
+            }
+            let pct = (new - old) / old * 100.0;
+            compared += 1;
+            if worst.as_ref().is_none_or(|(w, _)| pct > *w) {
+                worst = Some((pct, name.clone()));
+            }
+            if best.as_ref().is_none_or(|(b, _)| pct < *b) {
+                best = Some((pct, name.clone()));
+            }
+        }
+        entry = entry.field("compared", compared);
+        if let (Some((w, wn)), Some((b, bn))) = (&worst, &best) {
+            entry = entry
+                .field("worst_pct", *w)
+                .field("worst", wn.as_str())
+                .field("best_pct", *b)
+                .field("best", bn.as_str());
+        }
+    }
+    let fired = alerts::evaluate(rules, &metrics, &trailing);
+    entry = entry.field("metrics", metrics);
+
+    let mut ledger = ledger.to_string();
+    if !ledger.is_empty() && !ledger.ends_with('\n') {
+        ledger.push('\n');
+    }
+    ledger.push_str(&entry.to_string());
+    ledger.push('\n');
+
+    let line = match &worst {
+        Some((w, wn)) => format!(
+            "history: {kind} seq {seq} appended, {metric_count} metrics, worst delta {w:+.2}% ({wn})"
+        ),
+        None => format!(
+            "history: {kind} seq {seq} appended, {metric_count} metrics (first of its kind)"
+        ),
+    };
+    Ok(HistoryOutcome {
+        ledger,
+        line,
+        kind,
+        appended: true,
+        worst_pct: worst.map(|(w, _)| w),
+        fired,
+    })
 }
 
 #[cfg(test)]
@@ -1327,9 +977,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_ingest_is_order_independent() {
-        // Any ingest order must render the exact batch rank/correlate
-        // bytes — invariant 1–3 of the module docs.
+    fn rank_and_correlate_ignore_input_order() {
+        // Any input order must render the same rank/correlate bytes:
+        // members sort by (plan, file), rows by (time, plan, file).
         let docs = vec![
             doc(4, 4, 512, "ad", 30.0, [10.0, 12.0, 8.0], 6.0),
             doc(4, 4, 512, "da", 29.0, [11.0, 11.0, 7.0], 7.0),
@@ -1338,85 +988,43 @@ mod tests {
             doc(2, 2, 64, "dd", 19.0, [7.0, 7.5, 3.9], 5.5),
         ];
         let runs = load_runs(&docs).unwrap();
-        let batch_rank = rank(&runs).unwrap().text;
-        let batch_corr = correlate(&runs).unwrap();
+        let want_rank = rank(&runs).unwrap().text;
+        let want_corr = correlate(&runs).unwrap();
         // A few representative permutations (reversed, rotated, swapped).
-        let orders: Vec<Vec<usize>> = vec![
-            vec![4, 3, 2, 1, 0],
-            vec![2, 0, 4, 1, 3],
-            vec![1, 4, 0, 3, 2],
-        ];
-        for order in orders {
-            let mut s = Store::new();
-            for &i in &order {
-                s.ingest_run(&runs[i]);
-            }
-            assert_eq!(s.rank().unwrap().text, batch_rank, "order {order:?}");
-            assert_eq!(s.correlate().unwrap(), batch_corr, "order {order:?}");
+        for order in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 4, 0, 3, 2]] {
+            let permuted: Vec<Run> = order.iter().map(|&i| runs[i].clone()).collect();
+            assert_eq!(rank(&permuted).unwrap().text, want_rank, "order {order:?}");
+            assert_eq!(correlate(&permuted).unwrap(), want_corr, "order {order:?}");
         }
-    }
-
-    #[test]
-    fn store_dedupes_metrics_docs_by_digest() {
-        let mut s = Store::new();
-        let (f, d) = doc(4, 4, 512, "cc", 30.0, [10.0, 12.0, 8.0], 4.0);
-        assert_eq!(s.ingest_metrics(&f, &d).unwrap(), Ingested::Run);
-        // Same content under another name: no-op.
-        assert_eq!(s.ingest_metrics("copy.json", &d).unwrap(), Ingested::Duplicate);
-        assert_eq!(s.runs(), 1);
-    }
-
-    #[test]
-    fn store_ingests_service_docs_without_manifest() {
-        let svc = Json::obj()
-            .field("schema", "adios.metrics/3")
-            .field("kind", "service")
-            .field("policy", "adaptive")
-            .field("service", Json::obj().field("throughput_jpm", 7.5))
-            .field(
-                "latency",
-                Json::obj().field("p50_s", 20.0).field("p99_s", 45.0),
-            )
-            .field(
-                "slots",
-                Json::obj().field("map_util", 0.8).field("reduce_util", 0.6),
-            );
-        let mut s = Store::new();
-        assert_eq!(s.ingest_metrics("svc.json", &svc).unwrap(), Ingested::Service);
-        let slos = s.service_slos().to_string();
-        assert!(slos.contains("\"policy\":\"adaptive\""), "{slos}");
-        assert!(slos.contains("\"p99_latency_s\":45"), "{slos}");
     }
 
     #[test]
     fn whatif_prefers_cache_then_metrics_then_interpolates() {
-        let mut s = Store::new();
         // No data at all: unknown.
-        let a = s.whatif(4, 4, 512, "sort").to_string();
+        let a = whatif(&[], &[], 4, 4, 512, "sort").to_string();
         assert!(a.contains("\"provenance\":\"unknown\""), "{a}");
 
-        // Ingest two data sizes of one shape.
-        for (f, d) in [
+        // Two data sizes of one shape.
+        let runs = load_runs(&[
             doc(4, 4, 256, "cc", 20.0, [8.0, 8.0, 4.0], 5.0),
             doc(4, 4, 256, "dd", 24.0, [9.0, 10.0, 5.0], 5.5),
             doc(4, 4, 1024, "cc", 60.0, [20.0, 24.0, 16.0], 6.0),
             doc(4, 4, 1024, "dd", 48.0, [18.0, 20.0, 10.0], 6.5),
-        ] {
-            s.ingest_metrics(&f, &d).unwrap();
-        }
+        ])
+        .unwrap();
         // Exact group: cached from metrics.
-        let a = s.whatif(4, 4, 256, "sort").to_string();
+        let a = whatif(&runs, &[], 4, 4, 256, "sort").to_string();
         assert!(a.contains("\"provenance\":\"cached\""), "{a}");
         assert!(a.contains("\"source\":\"metrics\""), "{a}");
         assert!(a.contains("\"plan\":\"cc\""), "{a}");
         // Between sizes: interpolated. At 640 MB (midpoint), cc = 40.0
         // and dd = 36.0 — dd wins only through interpolation.
-        let a = s.whatif(4, 4, 640, "sort").to_string();
+        let a = whatif(&runs, &[], 4, 4, 640, "sort").to_string();
         assert!(a.contains("\"provenance\":\"interpolated\""), "{a}");
         assert!(a.contains("\"plan\":\"dd\""), "{a}");
         assert!(a.contains("256mb..1024mb"), "{a}");
         // Outside the sampled range: nearest group, still interpolated.
-        let a = s.whatif(4, 4, 2048, "sort").to_string();
+        let a = whatif(&runs, &[], 4, 4, 2048, "sort").to_string();
         assert!(a.contains("nearest 1024mb"), "{a}");
 
         // An eval-cache snapshot outranks everything.
@@ -1432,58 +1040,50 @@ mod tests {
                     .field("plan", "ad")
                     .field("score_s", 18.5)]),
             );
-        assert_eq!(
-            s.ingest_metrics("snap.json", &snap).unwrap(),
-            Ingested::CacheEntries(1)
-        );
-        let a = s.whatif(4, 4, 256, "sort").to_string();
+        let cache = cache_entries("snap.json", &snap).unwrap();
+        assert_eq!(cache.len(), 1);
+        let a = whatif(&runs, &cache, 4, 4, 256, "sort").to_string();
         assert!(a.contains("\"source\":\"evalcache\""), "{a}");
         assert!(a.contains("\"plan\":\"ad\""), "{a}");
         assert!(a.contains("\"expected_makespan_s\":18.5"), "{a}");
         // A different workload does not see sort's cache entry.
-        let a = s.whatif(4, 4, 256, "wordcount").to_string();
+        let a = whatif(&runs, &cache, 4, 4, 256, "wordcount").to_string();
         assert!(a.contains("\"provenance\":\"unknown\""), "{a}");
+        // A snapshot without entries is rejected.
+        let bare = Json::obj().field("schema", "adios.evalcache/1");
+        assert!(cache_entries("x.json", &bare).unwrap_err().contains("no entries"));
     }
 
     #[test]
     fn overlap_tracks_parallel_copies_axis() {
-        let mut s = Store::new();
-        // Distinct pc settings via manifest parallel_copies: rebuild
-        // docs with the pc stamped in and a controlled shuffle pct.
-        let with_pc = |plan: &str, pc: u64, pct: f64| {
-            let (_, mut d) = doc(4, 4, 512, plan, 30.0, [10.0, 12.0, 8.0], 6.0);
-            if let Some(Json::Obj(m)) = d.get("manifest").cloned() {
-                let mut m2 = m;
-                for f in m2.iter_mut() {
-                    if f.0 == "parallel_copies" {
-                        f.1 = Json::from(pc);
-                    }
-                }
-                if let Json::Obj(fields) = &mut d {
-                    for f in fields.iter_mut() {
-                        if f.0 == "manifest" {
-                            f.1 = Json::Obj(m2.clone());
-                        }
-                        if f.0 == "phases" {
-                            if let Json::Obj(ph) = &mut f.1 {
-                                for p in ph.iter_mut() {
-                                    if p.0 == "non_concurrent_shuffle_pct" {
-                                        p.1 = Json::from(pct);
-                                    }
-                                }
-                            }
-                        }
+        // Distinct pc settings via manifest parallel_copies, each with
+        // a controlled shuffle pct.
+        let with_pc = |file: &str, pc: u64, pct: f64| {
+            let (_, d) = doc(4, 4, 512, &format!("cc@pc{pc}"), 30.0, [10.0, 12.0, 8.0], 6.0);
+            let Json::Obj(mut fields) = d else { unreachable!() };
+            for (k, v) in fields.iter_mut() {
+                let Json::Obj(section) = v else { continue };
+                for (sk, sv) in section.iter_mut() {
+                    match (k.as_str(), sk.as_str()) {
+                        ("manifest", "parallel_copies") => *sv = Json::from(pc),
+                        ("phases", "non_concurrent_shuffle_pct") => *sv = Json::from(pct),
+                        _ => {}
                     }
                 }
             }
-            d
+            (file.to_string(), Json::Obj(fields))
         };
-        s.ingest_metrics("a.json", &with_pc("cc@pc1", 1, 40.0)).unwrap();
-        s.ingest_metrics("b.json", &with_pc("cc@pc5", 5, 28.0)).unwrap();
-        s.ingest_metrics("c.json", &with_pc("cc@pc10", 10, 14.0)).unwrap();
-        let o = s.overlap(TABLE2_SHUFFLE_PCT).to_string();
+        let runs = load_runs(&[
+            with_pc("a.json", 1, 40.0),
+            with_pc("b.json", 5, 28.0),
+            with_pc("c.json", 10, 14.0),
+            with_pc("d.json", 10, 16.0),
+        ])
+        .unwrap();
+        let o = overlap(&runs).to_string();
         assert!(o.contains("\"best_parallel_copies\":5"), "{o}");
         assert!(o.contains("\"target_pct\":29.5"), "{o}");
+        assert!(o.contains("{\"parallel_copies\":10,\"mean_shuffle_pct\":15,\"runs\":2}"), "{o}");
     }
 
     fn micro(names_means: &[(&str, f64)]) -> Json {
@@ -1500,19 +1100,19 @@ mod tests {
     #[test]
     fn history_appends_deltas_and_dedupes() {
         let a = micro(&[("push", 100.0), ("pop", 200.0)]);
-        let o1 = history_append("", &a, "a.json").unwrap();
+        let o1 = history_append("", &a, "a.json", &[]).unwrap();
         assert!(o1.appended);
         assert!(o1.ledger.contains("\"seq\":1"));
         assert!(o1.line.contains("first of its kind"), "{}", o1.line);
 
         // Same doc again: idempotent, ledger unchanged.
-        let o2 = history_append(&o1.ledger, &a, "a.json").unwrap();
+        let o2 = history_append(&o1.ledger, &a, "a.json", &[]).unwrap();
         assert!(!o2.appended);
         assert_eq!(o2.ledger, o1.ledger);
 
         // A 10% regression on `push` is the worst delta.
         let b = micro(&[("push", 110.0), ("pop", 190.0)]);
-        let o3 = history_append(&o1.ledger, &b, "b.json").unwrap();
+        let o3 = history_append(&o1.ledger, &b, "b.json", &[]).unwrap();
         assert!(o3.appended);
         assert_eq!(o3.worst_pct.map(|w| w.round()), Some(10.0));
         assert!(o3.ledger.contains("\"worst\":\"push\""), "{}", o3.ledger);
@@ -1536,7 +1136,7 @@ mod tests {
 
     #[test]
     fn history_ingests_profile_shares_as_their_own_kind() {
-        let o1 = history_append("", &profile(600, 400), "p1.json").unwrap();
+        let o1 = history_append("", &profile(600, 400), "p1.json", &[]).unwrap();
         assert!(o1.appended);
         assert!(o1.ledger.contains("\"kind\":\"profile\""), "{}", o1.ledger);
         // Field order is by subsystem name, not by dominance.
@@ -1545,10 +1145,10 @@ mod tests {
         assert!(io < net, "{}", o1.ledger);
 
         // A share shift appends a delta'd entry; re-ingest is a no-op.
-        let o2 = history_append(&o1.ledger, &profile(900, 100), "p2.json").unwrap();
+        let o2 = history_append(&o1.ledger, &profile(900, 100), "p2.json", &[]).unwrap();
         assert!(o2.appended);
         assert!(o2.worst_pct.is_some(), "{}", o2.line);
-        let o3 = history_append(&o2.ledger, &profile(900, 100), "p2.json").unwrap();
+        let o3 = history_append(&o2.ledger, &profile(900, 100), "p2.json", &[]).unwrap();
         assert!(!o3.appended, "{}", o3.line);
     }
 
@@ -1558,7 +1158,7 @@ mod tests {
             "spans",
             Json::Arr(vec![Json::obj().field("name", "net.solve").field("calls", 1u64)]),
         );
-        let err = history_append("", &doc, "p.json").unwrap_err();
+        let err = history_append("", &doc, "p.json", &[]).unwrap_err();
         assert!(err.contains("no measured wall time"), "{err}");
     }
 
@@ -1568,42 +1168,48 @@ mod tests {
         // even though a is no longer the latest entry of its kind.
         let a = micro(&[("push", 100.0)]);
         let b = micro(&[("push", 120.0)]);
-        let l1 = history_append("", &a, "a.json").unwrap().ledger;
-        let l2 = history_append(&l1, &b, "b.json").unwrap().ledger;
-        let o3 = history_append(&l2, &a, "a.json").unwrap();
+        let l1 = history_append("", &a, "a.json", &[]).unwrap().ledger;
+        let l2 = history_append(&l1, &b, "b.json", &[]).unwrap().ledger;
+        let o3 = history_append(&l2, &a, "a.json", &[]).unwrap();
         assert!(!o3.appended, "{}", o3.line);
         assert_eq!(o3.ledger, l2);
     }
 
     #[test]
-    fn history_dedupes_across_store_instances_over_one_ledger() {
-        // The daemon-restart contract: instance 1 ingests and persists
-        // the ledger; instance 2 adopts the same ledger text and must
-        // treat a re-ingest of the same doc as a no-op.
-        let a = micro(&[("push", 100.0), ("pop", 200.0)]);
-        let mut first = Store::new();
-        first.load_ledger("").unwrap();
-        let o1 = first.ingest_bench(&a, "a.json").unwrap();
-        assert!(o1.appended);
-        let persisted = first.ledger().to_string();
-
-        let mut second = Store::new();
-        second.load_ledger(&persisted).unwrap();
-        let o2 = second.ingest_bench(&a, "a.json").unwrap();
-        assert!(!o2.appended, "{}", o2.line);
-        assert_eq!(second.ledger(), persisted);
+    fn history_checks_alert_rules_against_the_prior_window() {
+        let rules = crate::alerts::parse_rules(
+            &Json::parse(
+                r#"{"schema":"adios.alertrules/1","rules":[{"metric":"push","max_delta_pct":10}]}"#,
+            )
+            .unwrap(),
+            "rules.json",
+        )
+        .unwrap();
+        // The first entry seeds the window instead of firing.
+        let o1 = history_append("", &micro(&[("push", 100.0)]), "a.json", &rules).unwrap();
+        assert!(o1.fired.is_empty());
+        // +20% against the window the document is about to extend.
+        let slow = micro(&[("push", 120.0)]);
+        let o2 = history_append(&o1.ledger, &slow, "b.json", &rules).unwrap();
+        assert_eq!(o2.kind, "micro");
+        assert_eq!(o2.fired.len(), 1);
+        assert_eq!(o2.fired[0].metric, "push");
+        assert!((o2.fired[0].reference - 100.0).abs() < 1e-9);
+        // A re-run is deduplicated and fires nothing.
+        let o3 = history_append(&o2.ledger, &slow, "b.json", &rules).unwrap();
+        assert!(!o3.appended && o3.fired.is_empty());
     }
 
     #[test]
     fn history_entries_are_byte_deterministic() {
         let a = micro(&[("push", 100.0)]);
-        let x = history_append("", &a, "a.json").unwrap().ledger;
-        let y = history_append("", &a, "a.json").unwrap().ledger;
+        let x = history_append("", &a, "a.json", &[]).unwrap().ledger;
+        let y = history_append("", &a, "a.json", &[]).unwrap().ledger;
         assert_eq!(x, y);
         // No host-time leakage: a doc differing only in a wall_s field
         // hashes identically (metrics map is the identity).
         let noisy = a.clone().field("wall_s", 1.23);
-        let z = history_append("", &noisy, "a.json").unwrap().ledger;
+        let z = history_append("", &noisy, "a.json", &[]).unwrap().ledger;
         assert_eq!(x, z);
     }
 
@@ -1622,12 +1228,12 @@ mod tests {
                     .field("makespan_s", 10.5)
                     .field("wall_s", 0.07)]),
             );
-        let o = history_append("", &sweep, "s.json").unwrap();
+        let o = history_append("", &sweep, "s.json", &[]).unwrap();
         assert!(o.ledger.contains("\"kind\":\"sweep\""), "{}", o.ledger);
         assert!(o.ledger.contains("\"n8x4_d64mb_cc\":10.5"), "{}", o.ledger);
         // Micro and sweep ledgers interleave without cross-talk.
         let m = micro(&[("push", 100.0)]);
-        let o2 = history_append(&o.ledger, &m, "m.json").unwrap();
+        let o2 = history_append(&o.ledger, &m, "m.json", &[]).unwrap();
         assert!(o2.ledger.contains("\"seq\":2"));
         assert!(!o2.ledger.contains("compared"), "{}", o2.ledger);
     }
@@ -1658,7 +1264,7 @@ mod tests {
                         .field("wall_s", 0.5),
                 ]),
             );
-        let o = history_append("", &sweep, "s.json").unwrap();
+        let o = history_append("", &sweep, "s.json", &[]).unwrap();
         assert!(o.ledger.contains("\"mj_best-single_latency_s\":30.5"), "{}", o.ledger);
         assert!(o.ledger.contains("\"mj_adaptive_latency_s\":28.25"), "{}", o.ledger);
         // The service cells are part of the identity: a latency change
@@ -1673,7 +1279,7 @@ mod tests {
                 }
             }
         }
-        let o2 = history_append(&o.ledger, &changed, "s.json").unwrap();
+        let o2 = history_append(&o.ledger, &changed, "s.json", &[]).unwrap();
         assert!(o2.appended, "changed service cell must append");
         // A multijob cell without its metric is a hard error.
         let bad = Json::obj()
@@ -1683,14 +1289,14 @@ mod tests {
                 "multijob_cells",
                 Json::Arr(vec![Json::obj().field("plan", "adaptive")]),
             );
-        let err = history_append("", &bad, "x.json").unwrap_err();
+        let err = history_append("", &bad, "x.json", &[]).unwrap_err();
         assert!(err.contains("mean_latency_s"), "{err}");
     }
 
     #[test]
     fn history_rejects_foreign_schemas() {
         let bad = Json::obj().field("schema", "adios.metrics/2");
-        let err = history_append("", &bad, "x.json").unwrap_err();
+        let err = history_append("", &bad, "x.json", &[]).unwrap_err();
         assert!(err.contains("adios.bench/1"), "{err}");
     }
 

@@ -623,8 +623,10 @@ struct DlEntry {
 #[derive(Debug, Default)]
 struct LayerState {
     sched: u8,
-    /// extent start → queued entries beginning there (FIFO per start).
-    pending: BTreeMap<u64, VecDeque<PendingExtent>>,
+    /// (write?, extent start) → queued entries of that direction
+    /// beginning there (FIFO per key). No elevator merges across
+    /// directions, so a dispatch only ever tiles its own direction.
+    pending: BTreeMap<(bool, u64), VecDeque<PendingExtent>>,
     pending_count: usize,
     /// id → dispatch time, awaiting completion.
     dispatched: HashMap<u64, SimTime>,
@@ -759,7 +761,7 @@ impl TraceOracle {
         let quiesced = {
             let ls = self.layer(layer);
             ls.pending
-                .entry(sector)
+                .entry((write, sector))
                 .or_default()
                 .push_back(PendingExtent { id, sectors, entered: t });
             ls.pending_count += 1;
@@ -775,7 +777,7 @@ impl TraceOracle {
         }
     }
 
-    fn dispatch(&mut self, t: SimTime, layer: Layer, id: u64, sector: u64, sectors: u64) {
+    fn dispatch(&mut self, t: SimTime, layer: Layer, id: u64, sector: u64, sectors: u64, write: bool) {
         let dl_bound = self.cfg.fifo_batch * (self.cfg.writes_starved + 2);
         let deadline_code = self.cfg.deadline_code;
         let mut msgs: Vec<String> = Vec::new();
@@ -792,7 +794,7 @@ impl TraceOracle {
             let mut cursor = sector;
             while cursor < end {
                 let remaining = end - cursor;
-                let Some(q) = ls.pending.get_mut(&cursor) else {
+                let Some(q) = ls.pending.get_mut(&(write, cursor)) else {
                     msgs.push(format!(
                         "{layer:?}: dispatched extent [{sector}, {end}) of rq {id} at {t} \
                          is not covered by arrivals (gap at {cursor})"
@@ -803,7 +805,7 @@ impl TraceOracle {
                 let pos = q.iter().position(|p| p.sectors <= remaining).unwrap_or(0);
                 let p = q.remove(pos).expect("non-empty pending queue");
                 if q.is_empty() {
-                    ls.pending.remove(&cursor);
+                    ls.pending.remove(&(write, cursor));
                 }
                 ls.pending_count -= 1;
                 if p.sectors > remaining {
@@ -869,8 +871,8 @@ impl TraceOracle {
                 // deadline shadow entry (matching the elevator).
                 self.enter(t, layer, id, sector, sectors, write, false);
             }
-            Dispatch { layer, id, sector, sectors, .. } => {
-                self.dispatch(t, layer, id, sector, sectors);
+            Dispatch { layer, id, sector, sectors, write } => {
+                self.dispatch(t, layer, id, sector, sectors, write);
             }
             Complete { layer, id } => {
                 let msg = {
@@ -1603,6 +1605,27 @@ mod tests {
         o.replay(&tr);
         o.assert_clean();
         assert_eq!(o.dispatches_checked(), 1);
+    }
+
+    #[test]
+    fn oracle_keeps_reads_and_writes_at_one_sector_apart() {
+        // A read and a write queue at the same start sector; the write
+        // is dispatched and completes before the read is served. Its
+        // dispatch must consume the queued write, not the read that
+        // starts at the same sector.
+        let mut tr = Trace::unbounded();
+        let l = Layer::Host;
+        let t = SimTime::from_micros;
+        tr.push(t(0), TraceEvent::SchedInstall { layer: l, sched: b'n' });
+        tr.push(t(1), ev_arrive(l, 1, 100, 8));
+        tr.push(t(2), TraceEvent::Arrive { layer: l, id: 2, sector: 100, sectors: 8, write: true });
+        tr.push(t(3), TraceEvent::Dispatch { layer: l, id: 2, sector: 100, sectors: 8, write: true });
+        tr.push(t(4), TraceEvent::Complete { layer: l, id: 2 });
+        tr.push(t(5), TraceEvent::Dispatch { layer: l, id: 1, sector: 100, sectors: 8, write: false });
+        tr.push(t(6), TraceEvent::Complete { layer: l, id: 1 });
+        let mut o = TraceOracle::default();
+        o.replay(&tr);
+        assert!(o.violations().is_empty(), "{:?}", o.violations());
     }
 
     #[test]

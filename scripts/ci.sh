@@ -169,52 +169,50 @@ cargo run -q --release --offline -p adios-report -- correlate \
   --metrics-dir "${sweep_dir}" > /dev/null
 rm -rf "${ledger}" "${sweep_dir}"
 
-# Always-on analytics smoke: `serve --once` over a fresh watched
-# directory must answer a what-if query byte-identically to the batch
-# `whatif` subcommand on the same documents (the daemon is the batch
-# store fed incrementally — same bytes by construction, gated here
-# end to end), and the answer must resolve from measured runs.
-watch_dir="$(mktemp -d)"
+# Cross-run analytics smoke: over a 64,96 MB mini-sweep with a
+# parallel-copies axis, `whatif` must resolve the exact 64 MB group
+# from measured runs, and `overlap` (the D4 probe) must print one
+# settings row per --parallel-copies value.
+analytics_dir="$(mktemp -d)"
 cargo run -q --release --offline --bin repro-cli -- sweep \
-  --nodes 2 --vms 2 --data-mb 64,96 --pairs cc,dd --watch-out "${watch_dir}" > /dev/null
-queries="$(mktemp)"
-printf '%s\n' \
-  '{"q":"whatif","nodes":2,"vms_per_node":2,"data_mb_per_vm":64,"workload":"sort"}' \
-  > "${queries}"
-serve_answer="$(cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --query-file "${queries}" 2> /dev/null)"
-batch_answer="$(cargo run -q --release --offline -p adios-report -- whatif \
-  --metrics-dir "${watch_dir}" --nodes 2 --vms 2 --data-mb 64 --workload sort)"
-[[ "${serve_answer}" == "${batch_answer}" ]] \
-  || { echo "error: serve whatif != batch whatif" >&2; \
-       echo "serve: ${serve_answer}" >&2; echo "batch: ${batch_answer}" >&2; exit 1; }
-echo "${serve_answer}" | grep -q '"provenance":"cached"' \
-  || { echo "error: whatif on a measured group must be provenance=cached" >&2; exit 1; }
+  --nodes 2 --vms 2 --data-mb 64,96 --pairs cc,dd --parallel-copies 1,5 \
+  --metrics-dir "${analytics_dir}" > /dev/null
+whatif_answer="$(cargo run -q --release --offline -p adios-report -- whatif \
+  --metrics-dir "${analytics_dir}" --nodes 2 --vms 2 --data-mb 64 --workload sort)"
+echo "${whatif_answer}" | grep -q '"provenance":"cached"' \
+  || { echo "error: whatif on a measured group must be provenance=cached: ${whatif_answer}" >&2; exit 1; }
+overlap_answer="$(cargo run -q --release --offline -p adios-report -- overlap \
+  --metrics-dir "${analytics_dir}")"
+for pc in 1 5; do
+  echo "${overlap_answer}" | grep -q "\"parallel_copies\":${pc}," \
+    || { echo "error: overlap must report parallel_copies=${pc}: ${overlap_answer}" >&2; exit 1; }
+done
 
-# Regression alerting gate: ingest a baseline bench document (empty
-# trailing window, exit 0), then a perturbed copy whose headline metric
-# doubles against a 10% relative-delta rule — the alert must fire and
-# `--once` must exit 2, writing an adios.alerts/1 document.
-alert_ledger="$(mktemp)"; rm -f "${alert_ledger}"
-alert_rules="$(mktemp)"
+# Regression alerting gate: `history --alert-rules` ingests a baseline
+# bench document (empty trailing window, exit 0), then a perturbed copy
+# whose headline metric doubles against a 10% relative-delta rule — the
+# alert must fire, the command must exit 2, and it must write an
+# adios.alerts/1 document naming the metric.
+alert_ledger="${analytics_dir}/ledger.jsonl"
+alert_rules="${analytics_dir}/rules.json"
+alerts_out="${analytics_dir}/alerts.json"
 printf '%s\n' \
   '{"schema":"adios.alertrules/1","rules":[{"metric":"smoke_bench","max_delta_pct":10,"window":1}]}' \
   > "${alert_rules}"
 printf '%s\n' \
   '{"schema":"adios.bench/1","results":[{"name":"smoke_bench","mean_ns":1000.0}]}' \
-  > "${watch_dir}/zz_bench_baseline.json"
-cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --ledger "${alert_ledger}" \
-  --alert-rules "${alert_rules}" > /dev/null 2>&1 \
-  || { echo "error: baseline bench ingest must not trip the alert gate" >&2; exit 1; }
+  > "${analytics_dir}/bench_baseline.json"
 printf '%s\n' \
   '{"schema":"adios.bench/1","results":[{"name":"smoke_bench","mean_ns":2000.0}]}' \
-  > "${watch_dir}/zz_bench_perturbed.json"
-alerts_out="$(mktemp)"
+  > "${analytics_dir}/bench_perturbed.json"
+cargo run -q --release --offline -p adios-report -- history \
+  --ledger "${alert_ledger}" --alert-rules "${alert_rules}" \
+  "${analytics_dir}/bench_baseline.json" > /dev/null 2>&1 \
+  || { echo "error: baseline bench ingest must not trip the alert gate" >&2; exit 1; }
 set +e
-cargo run -q --release --offline -p adios-report -- serve \
-  --watch "${watch_dir}" --once --ledger "${alert_ledger}" \
-  --alert-rules "${alert_rules}" --alerts-out "${alerts_out}" > /dev/null 2>&1
+cargo run -q --release --offline -p adios-report -- history \
+  --ledger "${alert_ledger}" --alert-rules "${alert_rules}" --alerts-out "${alerts_out}" \
+  "${analytics_dir}/bench_perturbed.json" > /dev/null 2>&1
 alert_rc=$?
 set -e
 [[ "${alert_rc}" -eq 2 ]] \
@@ -223,7 +221,7 @@ grep -q '"schema":"adios.alerts/1"' "${alerts_out}" \
   || { echo "error: fired alerts must be written as adios.alerts/1" >&2; exit 1; }
 grep -q '"metric":"smoke_bench"' "${alerts_out}" \
   || { echo "error: alerts doc must name the tripped metric" >&2; exit 1; }
-rm -rf "${watch_dir}" "${queries}" "${alert_ledger}" "${alert_rules}" "${alerts_out}"
+rm -rf "${analytics_dir}"
 
 # Dependency guard: every node reachable over normal, build, and dev
 # edges must be a path crate inside this repo. A registry dependency
@@ -237,4 +235,4 @@ if [[ -n "${external}" ]]; then
   exit 1
 fi
 
-echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler/flight smoke + history/rank/correlate smoke + serve whatif/alert gate green; dependency graph is workspace-only"
+echo "ci: offline build (all targets) + tests + clippy + strict causality smoke + bench smoke/shape + report smoke + serve-jobs oracle smoke + profiler/flight smoke + history/rank/correlate smoke + whatif/overlap smoke + history alert gate green; dependency graph is workspace-only"

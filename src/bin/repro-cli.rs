@@ -8,7 +8,7 @@
 //!                 [--busy-pair dd] [--idle-pair cc] [--map-pair ac] [--reduce-pair dd]
 //! repro-cli sweep [--workload sort] [--nodes 4,8,...] [--vms 4] [--data-mb 512,...]
 //!                 [--pairs cc,dd,...] [--parallel-copies 1,5,10,...]
-//!                 [--json-out FILE] [--metrics-dir DIR] [--watch-out DIR]
+//!                 [--json-out FILE] [--metrics-dir DIR]
 //! repro-cli tune  [--workload sort] [--nodes 4] [--vms 4] [--data-mb 512] [--json]
 //!                 [--cache-out FILE]
 //! repro-cli switch-cost [--from cc] [--to ad] [--vms 4] [--mb 600]
@@ -17,7 +17,7 @@
 //!                 [--seed 42] [--tenants sort:2,wordcount:1] [--data-mb 64]
 //!                 [--policy adaptive|PAIR] [--margin 0.05] [--switch-cost-ms 500]
 //!                 [--retune-s 5] [--max-concurrent 8] [--arrivals-file FILE]
-//!                 [--metrics-out FILE] [--watch-out DIR] [--flight-out FILE]
+//!                 [--metrics-out FILE] [--flight-out FILE]
 //! ```
 //!
 //! Pairs use the paper's two-letter codes (`c`=CFQ, `d`=deadline,
@@ -35,19 +35,17 @@
 //! per-cell `adios.bench/1` document with events/sec and wall-clock
 //! per cell, and `--metrics-dir` additionally writes each cell's full
 //! manifest-stamped `adios.metrics/2` document into the directory —
-//! the input format of `adios-report rank`/`correlate`. `--watch-out`
-//! is the same export aimed at a running `adios-report serve` daemon's
-//! `--watch` directory (both flags may be given; each dir gets every
-//! cell). `--parallel-copies` adds a shuffle fetch-concurrency axis to
+//! the input format of `adios-report rank`/`correlate`/`whatif`/
+//! `overlap`. `--parallel-copies` adds a shuffle fetch-concurrency axis to
 //! the grid: each listed value re-runs every cell with that many
 //! parallel reduce-side fetch streams (cell labels gain an `@pcN`
 //! suffix; `0`/absent inherits the workload default) — the D4 overlap
-//! experiment `adios-report serve`'s `overlap` query aggregates.
+//! experiment `adios-report overlap` aggregates.
 //!
 //! `tune --cache-out FILE` exports the tuning pass's eval cache as an
 //! `adios.evalcache/1` snapshot annotated with this experiment's
-//! shape/data/workload key — the file `adios-report serve` answers
-//! `whatif` queries from with `provenance: "cached"`.
+//! shape/data/workload key — dropped into a `--metrics-dir`, it is
+//! the file `adios-report whatif` answers with `provenance: "cached"`.
 //!
 //! `serve-jobs` runs the multi-job cluster service: an open-loop
 //! Poisson stream (or an `adios.jobs/1` arrival trace via
@@ -362,15 +360,9 @@ fn num_list(flags: &HashMap<String, String>, key: &str, default: u64) -> Vec<u64
 
 fn cmd_sweep(flags: HashMap<String, String>) {
     validate_out_flags(&flags, &["json-out"]);
-    // `--watch-out` is `--metrics-dir` aimed at a serve daemon's watch
-    // directory; both can be given and each receives every cell doc.
-    let export_dirs: Vec<&String> = ["metrics-dir", "watch-out"]
-        .iter()
-        .filter_map(|k| flags.get(*k))
-        .collect();
-    for dir in &export_dirs {
+    if let Some(dir) = flags.get("metrics-dir") {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("--metrics-dir/--watch-out: cannot create {dir}: {e}");
+            eprintln!("--metrics-dir: cannot create {dir}: {e}");
             exit(1);
         }
     }
@@ -431,9 +423,9 @@ fn cmd_sweep(flags: HashMap<String, String>) {
         parallel_copies,
     };
     let report = run_sweep(&base, &j, &grid);
-    for dir in &export_dirs {
+    if let Some(dir) = flags.get("metrics-dir") {
         // One manifest-stamped adios.metrics/2 document per cell —
-        // the run set `adios-report rank`/`correlate`/`serve` ingests.
+        // the run set the `adios-report` cross-run commands read.
         for r in &report.results {
             let m = RunManifest::new(&r.cell, &base, &j);
             let doc = stamp_manifest(&r.metrics, &m);
@@ -498,8 +490,8 @@ fn cmd_tune(flags: HashMap<String, String>) {
     let exp = Experiment::new(cluster(&flags), job(&flags));
     // Annotate the eval cache fingerprint with this experiment's
     // human-queryable key *before* the scheduler takes ownership, so a
-    // `--cache-out` snapshot can answer `adios-report serve` what-if
-    // queries for this shape.
+    // `--cache-out` snapshot can answer `adios-report whatif` for this
+    // shape.
     let key = SnapshotKey {
         fingerprint: exp.fingerprint(),
         nodes: exp.params.shape.nodes as u64,
@@ -762,24 +754,6 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
     }
     if let Some(path) = flags.get("metrics-out") {
         write_out(path, &(out.metrics.to_string() + "\n"));
-        println!("wrote {path}");
-    }
-    if let Some(dir) = flags.get("watch-out") {
-        // Drop the service metrics document where a running
-        // `adios-report serve --watch` daemon will pick it up. The file
-        // name keys on (policy, seed, duration) so repeated runs with
-        // the same knobs overwrite rather than accumulate.
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("--watch-out: cannot create {dir}: {e}");
-            exit(1);
-        }
-        let path = format!(
-            "{dir}/serve-{}-seed{}-{}s.json",
-            policy.name(),
-            sp.seed,
-            sp.duration.as_secs_f64() as u64
-        );
-        write_out(&path, &(out.metrics.to_string() + "\n"));
         println!("wrote {path}");
     }
 }
