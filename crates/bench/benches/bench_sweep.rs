@@ -23,8 +23,8 @@ use mrsim::{ClusterShape, JobSpec, WorkloadSpec};
 use repro_bench::quick;
 use simcore::{Json, SimDuration};
 use vcluster::{
-    run_service, run_sweep, ArrivalSpec, ClusterParams, ClusterSim, FixedPolicy, OnlinePolicy,
-    ServiceParams, ServicePolicy, SweepGrid, SwitchPlan, TenantMix,
+    run_service, run_sweep, ArrivalSpec, ClusterParams, ClusterSim, OnlinePolicy, ServiceParams,
+    SweepGrid, SwitchPlan, TenantMix,
 };
 
 /// Host wall-clock of the headline cell (64×4 VMs, 64 MB/VM sort,
@@ -145,9 +145,9 @@ fn policy_cells(base: &ClusterParams, job: &JobSpec, shape: ClusterShape) -> Jso
 
 /// The D6 re-run, regenerated instead of hand-recorded: the
 /// adaptive-vs-static comparison under *contention*. A Poisson
-/// three-tenant stream shares the cluster's slots; each policy cell is
-/// a full service run, and the margin column is measured from the two
-/// runs' mean latencies. Returns the cell rows plus the adaptive
+/// three-tenant stream shares the cluster's slots and disks; each
+/// policy cell is a full service run on the cluster stack, and the
+/// margin column is measured from the two runs' mean latencies. Returns the cell rows plus the adaptive
 /// improvement over the offline best single pair, in percent.
 fn multijob_cells(base: &ClusterParams, shape: ClusterShape) -> (Json, f64) {
     let data_mb: u64 = if quick() { 16 } else { 64 };
@@ -177,15 +177,14 @@ fn multijob_cells(base: &ClusterParams, shape: ClusterShape) -> (Json, f64) {
         .min_by(|&a, &b| blended_total(a).total_cmp(&blended_total(b)))
         .expect("non-empty pair table");
     let sp = ServiceParams {
-        shape,
         duration: SimDuration::from_secs(if quick() { 120 } else { 480 }),
         seed: 42,
         ..ServiceParams::default()
     };
     let spec = ArrivalSpec::Poisson { rate_per_min: 8.0 };
-    let cell = |label: &str, policy: &mut dyn ServicePolicy| {
+    let cell = |label: &str, pair: SchedPair, policy: Option<Box<dyn OnlinePolicy>>| {
         let started = std::time::Instant::now();
-        let out = run_service(&sp, &mix, &profiles, &spec, policy);
+        let out = run_service(&params, &sp, &mix, &spec, pair, policy);
         let wall = started.elapsed().as_secs_f64();
         println!(
             "service {:>12}: {} jobs, mean latency {:>6.1}s, p99 {:>6.1}s, {:>5.2} jobs/min, {} switches, wall {:.2}s",
@@ -211,10 +210,10 @@ fn multijob_cells(base: &ClusterParams, shape: ClusterShape) -> (Json, f64) {
             out.mean_latency_s,
         )
     };
-    let (default_row, _) = cell("default", &mut FixedPolicy(SchedPair::DEFAULT));
-    let (single_row, single_lat) = cell("best-single", &mut FixedPolicy(pairs[best_idx]));
-    let (adaptive_row, adaptive_lat) =
-        cell("adaptive", &mut BlendedTuner::new(profiles.clone(), 0.05));
+    let (default_row, _) = cell("default", SchedPair::DEFAULT, None);
+    let (single_row, single_lat) = cell("best-single", pairs[best_idx], None);
+    let tuner = BlendedTuner::new(profiles.clone(), 0.05);
+    let (adaptive_row, adaptive_lat) = cell("adaptive", SchedPair::DEFAULT, Some(Box::new(tuner)));
     let margin_pct = if single_lat > 0.0 {
         (single_lat - adaptive_lat) / single_lat * 100.0
     } else {

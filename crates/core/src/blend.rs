@@ -5,7 +5,8 @@
 //! overlapping jobs: at any instant the cluster is in a phase **mix**
 //! ([`vcluster::PhaseMix`]) — tenant 0 might have two jobs mapping
 //! while tenant 1 drains a reduce tail. The blended tuner extends the
-//! same measured-profile machinery to that regime:
+//! same measured-profile machinery to that regime, as an
+//! [`OnlinePolicy`] the cluster consults during a job-stream run:
 //!
 //! 1. **Calibrate** each tenant once with [`calibrate_tenants`]: real
 //!    single-job runs of the tenant's workload under every elevator
@@ -29,13 +30,37 @@ use crate::cache::EvalCache;
 use crate::experiment::Experiment;
 use crate::profiler::profile_pairs_cached;
 use iosched::SchedPair;
+use simcore::SimDuration;
 use std::collections::BTreeMap;
-use vcluster::{ClusterParams, PhaseMix, ServicePolicy, TenantMix, TenantProfile};
+use vcluster::{ClusterParams, ClusterSnapshot, OnlinePolicy, PhaseMix, TenantMix};
+
+/// Calibrated single-job phase durations of one tenant under every
+/// elevator pair, in [`SchedPair::all`] order.
+#[derive(Debug, Clone)]
+pub struct TenantProfile {
+    /// `phase[pair_idx]` = the tenant's `[ph1, ph2, ph3]` durations
+    /// under `SchedPair::all()[pair_idx]`.
+    pub phase: Vec<[SimDuration; 3]>,
+}
+
+impl TenantProfile {
+    /// Validate against the pair table.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.phase.len() != SchedPair::all().len() {
+            return Err(format!(
+                "profile covers {} pairs, expected {}",
+                self.phase.len(),
+                SchedPair::all().len()
+            ));
+        }
+        Ok(())
+    }
+}
 
 /// Measure every tenant's per-pair phase profile with real single-job
 /// simulations, memoized through `cache`. Output order matches
 /// `mix.tenants`; each profile's pair order matches [`SchedPair::all`],
-/// which is what [`vcluster::run_service`] expects.
+/// which is what [`BlendedTuner`] expects.
 pub fn calibrate_tenants(
     params: &ClusterParams,
     mix: &TenantMix,
@@ -76,14 +101,17 @@ impl BlendedTuner {
 
     /// Mix-weighted total seconds the cluster would spend per unit of
     /// work under `pair_idx` — the blended analog of a candidate's
-    /// evaluation score in Algorithm 1.
+    /// evaluation score in Algorithm 1. The mix must cover exactly the
+    /// calibrated tenants.
     pub fn blended_score(&self, mix: &PhaseMix, pair_idx: usize) -> f64 {
+        assert_eq!(
+            mix.per_tenant.len(),
+            self.profiles.len(),
+            "one calibration profile per tenant"
+        );
         let mut s = 0.0;
-        for (t, weights) in mix.per_tenant.iter().enumerate() {
-            if t >= self.profiles.len() {
-                continue;
-            }
-            let phase = &self.profiles[t].phase[pair_idx];
+        for (weights, profile) in mix.per_tenant.iter().zip(&self.profiles) {
+            let phase = &profile.phase[pair_idx];
             for p in 0..3 {
                 s += weights[p] * phase[p].as_secs_f64();
             }
@@ -127,14 +155,10 @@ impl BlendedTuner {
         self.memo.insert(fp, best);
         best
     }
-}
 
-impl ServicePolicy for BlendedTuner {
-    fn name(&self) -> String {
-        format!("blended:margin={}", self.margin)
-    }
-
-    fn choose(&mut self, mix: &PhaseMix, current: SchedPair) -> SchedPair {
+    /// The pair to have installed given the live mix: the blended
+    /// argmin, if it beats `current` by the hysteresis margin.
+    pub fn choose(&mut self, mix: &PhaseMix, current: SchedPair) -> SchedPair {
         if mix.is_idle() {
             return current;
         }
@@ -150,7 +174,7 @@ impl ServicePolicy for BlendedTuner {
         let cur_score = self.blended_score(mix, cur_idx);
         let best_score = self.blended_score(mix, best);
         // Hysteresis: the challenger must beat the incumbent by the
-        // margin to justify the switch stall.
+        // margin to justify the switch's drain and re-init.
         if cur_score > 0.0 && (cur_score - best_score) / cur_score > self.margin {
             pairs[best]
         } else {
@@ -159,10 +183,19 @@ impl ServicePolicy for BlendedTuner {
     }
 }
 
+impl OnlinePolicy for BlendedTuner {
+    fn name(&self) -> String {
+        format!("blended:margin={}", self.margin)
+    }
+
+    fn decide(&mut self, snap: &ClusterSnapshot) -> Option<SchedPair> {
+        Some(self.choose(&snap.mix, snap.current_pair))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
 
     /// Profiles with crossing rankings: pair 0 fastest for ph1, the
     /// last pair fastest for the tail.
@@ -213,6 +246,13 @@ mod tests {
         // A huge margin suppresses every switch.
         let mut stubborn = BlendedTuner::new(crossing_profiles(1), 0.99);
         assert_eq!(stubborn.choose(&mix_all_in(0, 1), pairs[3]), pairs[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one calibration profile per tenant")]
+    fn a_mix_with_an_uncalibrated_tenant_is_rejected() {
+        let mut tuner = BlendedTuner::new(crossing_profiles(1), 0.02);
+        tuner.choose(&mix_all_in(0, 2), SchedPair::all()[0]);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod online;
 pub mod profiler;
 pub mod switch_cost;
 
-pub use blend::{calibrate_tenants, BlendedTuner};
+pub use blend::{calibrate_tenants, BlendedTuner, TenantProfile};
 pub use cache::{canonical_assignment, CacheStats, CachedEvaluator, EvalCache, SnapshotKey};
 pub use experiment::{Experiment, PhaseProfile};
 pub use heuristic::{

@@ -150,6 +150,7 @@ mod tests {
             now: SimTime::ZERO,
             maps_done_fraction: maps,
             reduces_done_fraction: 0.0,
+            mix: vcluster::PhaseMix { per_tenant: vec![[1.0, 0.0, 0.0]] },
             dom0_queue_lens: depths.to_vec(),
             guest_queue_lens: vec![],
             current_pair: SchedPair::DEFAULT,

@@ -24,5 +24,5 @@ pub mod workload;
 pub use job::{ClusterShape, JobSpec};
 pub use phases::{JobPhase, PhaseTimes};
 pub use plan::{map_output_file, map_plan, reduce_plan, FileRef, TaskId, TaskOp};
-pub use tracker::{Assignment, JobEvent, JobTracker, TaskKind};
+pub use tracker::{Assignment, JobEvent, JobTracker, SlotLedger, TaskKind};
 pub use workload::{DiskClass, WorkloadSpec};

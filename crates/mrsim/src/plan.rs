@@ -11,7 +11,8 @@
 
 use crate::job::{ClusterShape, JobSpec};
 
-/// Global task identifier: maps are `0..num_maps`, reduces follow.
+/// Global task identifier: a job's maps are `base..base + num_maps`,
+/// its reduces follow (base 0 for a job alone on the cluster).
 pub type TaskId = u32;
 
 /// A logical file a task reads or writes. The cluster simulator lazily
@@ -20,7 +21,8 @@ pub type TaskId = u32;
 pub enum FileRef {
     /// Replica `replica` of HDFS block `block`.
     HdfsBlock {
-        /// Block index.
+        /// Global task id of the map reading the block — the block
+        /// index itself for a job whose task ids start at 0.
         block: u32,
         /// Replica index (0 = the copy the map reads).
         replica: u8,
@@ -55,6 +57,21 @@ pub enum FileRef {
         /// Replica index (0 = local).
         replica: u8,
     },
+}
+
+impl FileRef {
+    /// The task that owns the file: the reading map for an HDFS block,
+    /// the writing task otherwise.
+    pub fn task(&self) -> TaskId {
+        match *self {
+            FileRef::HdfsBlock { block, .. } => block,
+            FileRef::Spill { task, .. }
+            | FileRef::MapOutput { task }
+            | FileRef::ShuffleRun { task }
+            | FileRef::MergedRun { task }
+            | FileRef::ReduceOutput { task, .. } => task,
+        }
+    }
 }
 
 /// One step of a task program.
@@ -117,7 +134,8 @@ impl TaskOp {
     }
 }
 
-/// Build the program of map task `task` processing `block`.
+/// Build the program of map task `task` processing its HDFS block
+/// (the file keyed by `task`, see [`FileRef::HdfsBlock`]).
 ///
 /// Data flow (Hadoop 0.19 `MapTask`): stream the block in segments
 /// sized so the in-memory sort buffer fills once per segment; after
@@ -125,7 +143,7 @@ impl TaskOp {
 /// disk as an async sequential write. If more than one spill was
 /// produced, merge them into the final map output file (read all spills
 /// + write the merged file); a single spill simply becomes the output.
-pub fn map_plan(job: &JobSpec, task: TaskId, block: u32) -> Vec<TaskOp> {
+pub fn map_plan(job: &JobSpec, task: TaskId) -> Vec<TaskOp> {
     let w = &job.workload;
     let out_total = job.map_output_per_block();
     // Input bytes consumed per sort-buffer fill.
@@ -141,7 +159,7 @@ pub fn map_plan(job: &JobSpec, task: TaskId, block: u32) -> Vec<TaskOp> {
     while remaining_in > 0 {
         let seg_in = remaining_in.min(in_per_spill);
         ops.push(TaskOp::StreamRead {
-            file: FileRef::HdfsBlock { block, replica: 0 },
+            file: FileRef::HdfsBlock { block: task, replica: 0 },
             offset: in_off,
             bytes: seg_in,
             cpu_ns_per_byte: w.map_cpu_ns_per_byte,
@@ -259,7 +277,7 @@ mod tests {
     fn sort_map_single_spill_no_merge() {
         // 64 MB block × ratio 1.0 < 100 MB buffer: one spill, no merge.
         let job = JobSpec::new(WorkloadSpec::sort());
-        let ops = map_plan(&job, 0, 0);
+        let ops = map_plan(&job, 0);
         assert_eq!(map_spill_count(&job), 1);
         assert_eq!(
             ops.iter()
@@ -278,7 +296,7 @@ mod tests {
         // 64 MB × 1.7 = 108.8 MB output > 100 MB buffer: 2 spills + merge.
         let job = JobSpec::new(WorkloadSpec::wordcount_no_combiner());
         assert_eq!(map_spill_count(&job), 2);
-        let ops = map_plan(&job, 3, 3);
+        let ops = map_plan(&job, 3);
         let spill_writes = ops
             .iter()
             .filter(|o| matches!(o, TaskOp::StreamWrite { file: FileRef::Spill { .. }, .. }))
@@ -293,7 +311,7 @@ mod tests {
     #[test]
     fn wordcount_map_reads_whole_block() {
         let job = JobSpec::new(WorkloadSpec::wordcount());
-        let ops = map_plan(&job, 0, 0);
+        let ops = map_plan(&job, 0);
         let read: u64 = ops
             .iter()
             .filter_map(|o| match o {
@@ -309,7 +327,7 @@ mod tests {
         let sort = JobSpec::new(WorkloadSpec::sort());
         let wc = JobSpec::new(WorkloadSpec::wordcount());
         let vol = |job: &JobSpec| -> u64 {
-            map_plan(job, 0, 0).iter().map(|o| o.local_bytes()).sum()
+            map_plan(job, 0).iter().map(|o| o.local_bytes()).sum()
         };
         // Sort writes its whole output; wordcount-with-combiner barely
         // writes at all.
@@ -346,6 +364,6 @@ mod tests {
     #[test]
     fn plans_deterministic() {
         let job = JobSpec::default();
-        assert_eq!(map_plan(&job, 7, 7), map_plan(&job, 7, 7));
+        assert_eq!(map_plan(&job, 7), map_plan(&job, 7));
     }
 }

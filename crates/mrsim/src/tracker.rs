@@ -1,14 +1,17 @@
-//! The JobTracker: block placement, slot scheduling in waves, shuffle
-//! availability, and job progress events.
+//! The JobTracker: block placement, data-local task queues, shuffle
+//! availability, and job progress events — plus the [`SlotLedger`] the
+//! trackers of concurrent jobs share.
 //!
 //! Scheduling follows Hadoop 0.19 with the paper's setup: map tasks are
 //! data-local (HDFS blocks are spread evenly over the data nodes, each
 //! map runs where its block's first replica lives), every VM offers
-//! `map_slots_per_vm` + `reduce_slots_per_vm` slots, reducers all start
-//! with the job (so shuffle overlaps the map waves), and a reducer can
-//! fetch a map's output as soon as that map commits.
+//! `map_slots_per_vm` + `reduce_slots_per_vm` slots, reducers start as
+//! soon as a reduce slot on their VM is free (for a job alone on the
+//! cluster: with the job, so shuffle overlaps the map waves), and a
+//! reducer can fetch a map's output as soon as that map commits.
 
 use crate::job::{ClusterShape, JobSpec};
+use crate::phases::JobPhase;
 use crate::plan::TaskId;
 use simcore::SimTime;
 use std::collections::VecDeque;
@@ -31,8 +34,6 @@ pub struct Assignment {
     pub kind: TaskKind,
     /// Global VM index (`node * vms_per_node + local`).
     pub gvm: u32,
-    /// For maps: the HDFS block processed.
-    pub block: Option<u32>,
 }
 
 /// Progress milestones the tracker emits.
@@ -48,6 +49,74 @@ pub enum JobEvent {
     JobDone,
 }
 
+/// Per-VM map/reduce slot accounting shared by every job on the
+/// cluster: the single source of truth for placing a task onto a VM.
+/// (The trace oracle independently re-derives occupancy from
+/// `SlotAcquire`/`SlotRelease` events and checks it against the
+/// configured capacities.)
+#[derive(Debug, Clone)]
+pub struct SlotLedger {
+    map_used: Vec<u32>,
+    reduce_used: Vec<u32>,
+    map_cap: u32,
+    reduce_cap: u32,
+}
+
+impl SlotLedger {
+    /// Empty ledger for a cluster shape.
+    pub fn new(shape: &ClusterShape) -> SlotLedger {
+        SlotLedger {
+            map_used: vec![0; shape.total_vms() as usize],
+            reduce_used: vec![0; shape.total_vms() as usize],
+            map_cap: shape.map_slots_per_vm,
+            reduce_cap: shape.reduce_slots_per_vm,
+        }
+    }
+
+    /// Occupy one slot on `gvm` if capacity remains; false when full.
+    pub fn try_acquire(&mut self, gvm: u32, map: bool) -> bool {
+        let (used, cap) = if map {
+            (&mut self.map_used[gvm as usize], self.map_cap)
+        } else {
+            (&mut self.reduce_used[gvm as usize], self.reduce_cap)
+        };
+        if *used >= cap {
+            return false;
+        }
+        *used += 1;
+        true
+    }
+
+    /// Release a previously acquired slot.
+    pub fn release(&mut self, gvm: u32, map: bool) {
+        let used = if map {
+            &mut self.map_used[gvm as usize]
+        } else {
+            &mut self.reduce_used[gvm as usize]
+        };
+        assert!(*used > 0, "releasing a slot nobody holds (vm {gvm}, map={map})");
+        *used -= 1;
+    }
+
+    /// Free slots of a kind on one VM.
+    pub fn free(&self, gvm: u32, map: bool) -> u32 {
+        if map {
+            self.map_cap - self.map_used[gvm as usize]
+        } else {
+            self.reduce_cap - self.reduce_used[gvm as usize]
+        }
+    }
+
+    /// Occupied slots of a kind, cluster-wide.
+    pub fn in_use(&self, map: bool) -> u32 {
+        if map {
+            self.map_used.iter().sum()
+        } else {
+            self.reduce_used.iter().sum()
+        }
+    }
+}
+
 /// The job tracker.
 pub struct JobTracker {
     shape: ClusterShape,
@@ -57,10 +126,11 @@ pub struct JobTracker {
     /// jobs on one cluster give each tracker a disjoint base so task
     /// ids never collide across jobs.
     task_base: TaskId,
-    /// Reduce indices handed out so far via [`JobTracker::next_reduce`].
-    reduces_started: u32,
     /// Per-VM queue of pending (data-local) map tasks.
     pending_maps: Vec<VecDeque<TaskId>>,
+    /// Per-VM count of reducers handed out (a VM hosts reduce indices
+    /// `gvm * reduce_slots_per_vm ..`, started in index order).
+    reduces_started: Vec<u32>,
     maps_done: Vec<bool>,
     maps_done_count: u32,
     /// `fetched[reduce][map]`.
@@ -103,8 +173,8 @@ impl JobTracker {
             num_maps,
             num_reduces,
             task_base: base,
-            reduces_started: 0,
             pending_maps,
+            reduces_started: vec![0; total_vms as usize],
             maps_done: vec![false; num_maps as usize],
             maps_done_count: 0,
             fetched: vec![vec![false; num_maps as usize]; num_reduces as usize],
@@ -145,6 +215,11 @@ impl JobTracker {
         task - self.task_base
     }
 
+    /// The VM a map task id runs on (its block's home).
+    pub fn map_home(&self, task: TaskId) -> u32 {
+        self.block_home(self.map_block(task))
+    }
+
     /// The VM a reduce task runs on.
     pub fn reduce_home(&self, reduce_idx: u32) -> u32 {
         reduce_idx / self.shape.reduce_slots_per_vm
@@ -161,96 +236,45 @@ impl JobTracker {
         task - self.task_base - self.num_maps
     }
 
-    /// First-wave assignments: fill every map slot from its VM's local
-    /// queue and start every reducer.
-    pub fn initial_assignments(&mut self) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        for gvm in 0..self.shape.total_vms() {
-            for _ in 0..self.shape.map_slots_per_vm {
-                if let Some(task) = self.pending_maps[gvm as usize].pop_front() {
-                    out.push(Assignment {
-                        task,
-                        kind: TaskKind::Map,
-                        gvm,
-                        block: Some(self.map_block(task)),
-                    });
-                }
-            }
-        }
-        for r in 0..self.num_reduces {
-            out.push(Assignment {
-                task: self.reduce_task_id(r),
-                kind: TaskKind::Reduce,
-                gvm: self.reduce_home(r),
-                block: None,
-            });
-        }
-        self.reduces_started = self.num_reduces;
-        out
-    }
-
-    /// Pull one pending data-local map for VM `gvm` (slot-at-a-time
-    /// scheduling under slot contention, instead of the greedy
-    /// [`JobTracker::initial_assignments`] wave).
+    /// Pull one pending data-local map for VM `gvm`.
     pub fn pop_local_map(&mut self, gvm: u32) -> Option<Assignment> {
         let task = self.pending_maps[gvm as usize].pop_front()?;
         Some(Assignment {
             task,
             kind: TaskKind::Map,
             gvm,
-            block: Some(self.map_block(task)),
         })
     }
 
-    /// Pull one pending map from any VM, lowest VM index first (a
-    /// deterministic non-local fallback when the local queue is empty).
-    pub fn pop_any_map(&mut self) -> Option<Assignment> {
-        let gvm = (0..self.shape.total_vms())
-            .find(|&g| !self.pending_maps[g as usize].is_empty())?;
-        self.pop_local_map(gvm)
-    }
-
-    /// Maps not yet handed out.
-    pub fn pending_map_count(&self) -> u32 {
-        self.pending_maps.iter().map(|q| q.len() as u32).sum()
-    }
-
-    /// Hand out the next not-yet-started reduce task, in index order.
-    /// Mixing this with [`JobTracker::initial_assignments`] (which
-    /// starts every reducer) yields nothing further.
-    pub fn next_reduce(&mut self) -> Option<Assignment> {
-        if self.reduces_started == self.num_reduces {
+    /// Hand out the next not-yet-started reducer homed on VM `gvm`, in
+    /// reduce-index order.
+    pub fn pop_local_reduce(&mut self, gvm: u32) -> Option<Assignment> {
+        let per_vm = self.shape.reduce_slots_per_vm;
+        let started = &mut self.reduces_started[gvm as usize];
+        let r = gvm * per_vm + *started;
+        if *started == per_vm || r >= self.num_reduces {
             return None;
         }
-        let r = self.reduces_started;
-        self.reduces_started += 1;
+        *started += 1;
         Some(Assignment {
             task: self.reduce_task_id(r),
             kind: TaskKind::Reduce,
-            gvm: self.reduce_home(r),
-            block: None,
+            gvm,
         })
     }
 
-    /// A map committed: frees its slot (next local map is assigned) and
-    /// makes its output fetchable.
-    pub fn on_map_done(
-        &mut self,
-        map: TaskId,
-        now: SimTime,
-    ) -> (Option<Assignment>, Vec<JobEvent>) {
+    /// A map committed: its output becomes fetchable.
+    pub fn on_map_done(&mut self, map: TaskId, now: SimTime) -> Vec<JobEvent> {
         let m = self.map_block(map);
         assert!(!self.maps_done[m as usize], "map {map} finished twice");
         self.maps_done[m as usize] = true;
         self.maps_done_count += 1;
-        let mut events = Vec::new();
         if self.maps_done_count == self.num_maps {
             self.t_maps_done = Some(now);
-            events.push(JobEvent::MapsAllDone);
+            vec![JobEvent::MapsAllDone]
+        } else {
+            Vec::new()
         }
-        let gvm = self.block_home(m);
-        let next = self.pop_local_map(gvm);
-        (next, events)
     }
 
     /// Maps whose output reduce index `r` can fetch right now (done,
@@ -321,6 +345,18 @@ impl JobTracker {
     pub fn finished(&self) -> bool {
         self.reduces_done_count == self.num_reduces
     }
+
+    /// The paper phase the job is in: Ph1 until every map committed,
+    /// Ph2 until every reducer fetched, Ph3 after.
+    pub fn phase(&self) -> JobPhase {
+        if self.t_maps_done.is_none() {
+            JobPhase::Ph1
+        } else if self.t_shuffle_done.is_none() {
+            JobPhase::Ph2
+        } else {
+            JobPhase::Ph3
+        }
+    }
 }
 
 #[cfg(test)]
@@ -335,25 +371,52 @@ mod tests {
         (job, shape, t)
     }
 
+    /// A job alone on an empty ledger: every map slot filled from its
+    /// VM's local queue, then every reducer started on its home VM.
+    fn first_wave(t: &mut JobTracker, ledger: &mut SlotLedger, shape: &ClusterShape) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        for map in [true, false] {
+            for gvm in 0..shape.total_vms() {
+                while ledger.free(gvm, map) > 0 {
+                    let next = if map { t.pop_local_map(gvm) } else { t.pop_local_reduce(gvm) };
+                    let Some(a) = next else { break };
+                    assert!(ledger.try_acquire(gvm, map));
+                    out.push(a);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn initial_wave_fills_slots() {
+    fn first_wave_fills_slots() {
         let (_, shape, mut t) = setup();
-        let a = t.initial_assignments();
+        let mut ledger = SlotLedger::new(&shape);
+        let a = first_wave(&mut t, &mut ledger, &shape);
         let maps = a.iter().filter(|x| x.kind == TaskKind::Map).count();
-        let reduces = a.iter().filter(|x| x.kind == TaskKind::Reduce).count();
+        let reduces: Vec<u32> = a
+            .iter()
+            .filter(|x| x.kind == TaskKind::Reduce)
+            .map(|x| t.reduce_index(x.task))
+            .collect();
         assert_eq!(maps, shape.total_map_slots() as usize);
-        assert_eq!(reduces, t.num_reduces() as usize);
-        // Every map is data-local.
-        for x in a.iter().filter(|x| x.kind == TaskKind::Map) {
-            assert_eq!(x.gvm, t.block_home(x.block.unwrap()));
+        assert_eq!(reduces, (0..t.num_reduces()).collect::<Vec<_>>(), "index order");
+        assert_eq!(ledger.in_use(true), shape.total_map_slots());
+        assert_eq!(ledger.in_use(false), shape.total_reduce_slots());
+        // Every task is local to the slot it got.
+        for x in &a {
+            match x.kind {
+                TaskKind::Map => assert_eq!(x.gvm, t.map_home(x.task)),
+                TaskKind::Reduce => assert_eq!(x.gvm, t.reduce_home(t.reduce_index(x.task))),
+            }
         }
     }
 
     #[test]
     fn waves_progress_and_maps_done_event() {
-        let (_, _, mut t) = setup();
-        let first = t.initial_assignments();
-        let mut running: Vec<TaskId> = first
+        let (_, shape, mut t) = setup();
+        let mut ledger = SlotLedger::new(&shape);
+        let mut running: Vec<TaskId> = first_wave(&mut t, &mut ledger, &shape)
             .iter()
             .filter(|a| a.kind == TaskKind::Map)
             .map(|a| a.task)
@@ -363,9 +426,13 @@ mod tests {
         let mut saw_maps_done = false;
         while let Some(m) = running.pop() {
             now += simcore::SimDuration::from_secs(1);
-            let (next, events) = t.on_map_done(m, now);
+            let events = t.on_map_done(m, now);
             done += 1;
-            if let Some(a) = next {
+            // The freed slot refills from the same VM's queue.
+            let gvm = t.map_home(m);
+            ledger.release(gvm, true);
+            if let Some(a) = t.pop_local_map(gvm) {
+                assert!(ledger.try_acquire(gvm, true));
                 assert_eq!(a.kind, TaskKind::Map);
                 running.push(a.task);
             }
@@ -377,20 +444,16 @@ mod tests {
         assert!(saw_maps_done);
         assert_eq!(t.maps_done_count(), t.num_maps());
         assert_eq!(t.t_maps_done, Some(now));
+        assert_eq!(t.phase(), JobPhase::Ph2);
     }
 
     #[test]
     fn shuffle_completion_events() {
         let (_, _, mut t) = setup();
-        t.initial_assignments();
         let now = SimTime::from_secs(1);
-        // Finish all maps.
-        let mut frontier: Vec<TaskId> = (0..t.num_maps()).collect();
-        for m in frontier.drain(..) {
-            // Ignore slot refills; all maps eventually finish.
-            if !t.maps_done[m as usize] {
-                t.on_map_done(m, now);
-            }
+        assert_eq!(t.phase(), JobPhase::Ph1);
+        for m in 0..t.num_maps() {
+            t.on_map_done(m, now);
         }
         assert_eq!(t.available_fetches(0).len(), t.num_maps() as usize);
         // Reduce 0 fetches everything.
@@ -420,6 +483,7 @@ mod tests {
         }
         assert!(saw_all);
         assert_eq!(t.t_shuffle_done, Some(now));
+        assert_eq!(t.phase(), JobPhase::Ph3);
     }
 
     #[test]
@@ -459,53 +523,86 @@ mod tests {
         let mut plain = JobTracker::new(&job, &shape);
         let mut offset = JobTracker::with_task_base(&job, &shape, base);
         assert_eq!(offset.task_base(), base);
-        let a0 = plain.initial_assignments();
-        let a1 = offset.initial_assignments();
+        let a0 = first_wave(&mut plain, &mut SlotLedger::new(&shape), &shape);
+        let a1 = first_wave(&mut offset, &mut SlotLedger::new(&shape), &shape);
         assert_eq!(a0.len(), a1.len());
         for (x, y) in a0.iter().zip(&a1) {
             assert_eq!(y.task, x.task + base);
             assert_eq!(y.gvm, x.gvm);
             assert_eq!(y.kind, x.kind);
-            assert_eq!(y.block, x.block, "block numbering is base-independent");
+            if x.kind == TaskKind::Map {
+                assert_eq!(offset.map_block(y.task), plain.map_block(x.task), "same blocks");
+            }
         }
         // Lifecycle with offset ids round-trips.
         let m = a1.iter().find(|a| a.kind == TaskKind::Map).unwrap().task;
-        let (next, _) = offset.on_map_done(m, SimTime::from_secs(1));
-        if let Some(n) = next {
-            assert!(n.task >= base, "refill must stay in the offset id space");
-        }
+        offset.on_map_done(m, SimTime::from_secs(1));
+        assert_eq!(offset.map_home(m), a1[0].gvm);
         assert!(offset.available_fetches(0).contains(&m));
         offset.on_fetch_complete(0, m, SimTime::from_secs(2));
         assert_eq!(offset.reduce_index(offset.reduce_task_id(3)), 3);
     }
 
-    /// Slot-at-a-time scheduling: pulls never exceed the pending count,
-    /// stay data-local when asked, and `next_reduce` hands each reducer
-    /// out exactly once.
+    /// Slot-at-a-time pulls stay data-local, hand every map and every
+    /// reducer out exactly once, and run dry afterwards.
     #[test]
-    fn incremental_slot_pulls() {
+    fn local_pulls_hand_out_every_task_once() {
         let job = JobSpec::new(WorkloadSpec::sort());
         let shape = ClusterShape::default();
         let mut t = JobTracker::new(&job, &shape);
-        let total = t.pending_map_count();
-        assert_eq!(total, t.num_maps());
-        let a = t.pop_local_map(2).unwrap();
-        assert_eq!(a.gvm, 2);
-        assert_eq!(t.block_home(a.block.unwrap()), 2);
-        assert_eq!(t.pending_map_count(), total - 1);
-        let mut pulled = 1;
-        while t.pop_any_map().is_some() {
-            pulled += 1;
-        }
-        assert_eq!(pulled, total);
-        assert_eq!(t.pending_map_count(), 0);
+        let mut maps = 0;
         let mut reduces = 0;
-        while let Some(r) = t.next_reduce() {
-            assert_eq!(r.kind, TaskKind::Reduce);
-            assert_eq!(r.gvm, t.reduce_home(t.reduce_index(r.task)));
-            reduces += 1;
+        for gvm in 0..shape.total_vms() {
+            while let Some(a) = t.pop_local_map(gvm) {
+                assert_eq!(t.map_home(a.task), gvm);
+                maps += 1;
+            }
+            while let Some(r) = t.pop_local_reduce(gvm) {
+                assert_eq!(r.kind, TaskKind::Reduce);
+                assert_eq!(t.reduce_home(t.reduce_index(r.task)), gvm);
+                reduces += 1;
+            }
         }
+        assert_eq!(maps, t.num_maps());
         assert_eq!(reduces, t.num_reduces());
+    }
+
+    /// Under randomized acquire/release sequences the ledger never
+    /// exceeds capacity and never goes negative.
+    #[test]
+    fn slot_ledger_never_oversubscribes_under_random_traffic() {
+        let shape = ClusterShape::default();
+        let mut ledger = SlotLedger::new(&shape);
+        let mut rng = simcore::SimRng::from_seed(2024).split("ledger.test");
+        let mut held: Vec<(u32, bool)> = Vec::new();
+        for _ in 0..20_000 {
+            let gvm = rng.range_u64(0, shape.total_vms() as u64) as u32;
+            let map = rng.range_u64(0, 2) == 0;
+            if rng.range_u64(0, 3) < 2 {
+                if ledger.try_acquire(gvm, map) {
+                    held.push((gvm, map));
+                }
+            } else if !held.is_empty() {
+                let i = rng.range_u64(0, held.len() as u64) as usize;
+                let (g, m) = held.swap_remove(i);
+                ledger.release(g, m);
+            }
+            for g in 0..shape.total_vms() {
+                assert!(ledger.free(g, true) <= shape.map_slots_per_vm, "map free over cap on vm {g}");
+                assert!(
+                    ledger.free(g, false) <= shape.reduce_slots_per_vm,
+                    "reduce free over cap on vm {g}"
+                );
+            }
+            let used: u32 = held.iter().filter(|&&(_, m)| m).count() as u32;
+            assert_eq!(ledger.in_use(true), used, "ledger disagrees with shadow");
+        }
+        // Saturate one VM: the next acquire must refuse.
+        let mut l2 = SlotLedger::new(&shape);
+        for _ in 0..shape.map_slots_per_vm {
+            assert!(l2.try_acquire(0, true));
+        }
+        assert!(!l2.try_acquire(0, true), "acquire beyond capacity must fail");
     }
 
     #[test]

@@ -414,19 +414,6 @@ impl<T> EventQueue<T> {
         // only defensible width is the initial one.
         self.width = INITIAL_WIDTH_NS;
     }
-
-    /// Reset the queue to its just-constructed state: everything
-    /// [`clear`](Self::clear) drops, plus the watermark returns to
-    /// `SimTime::ZERO`. This is the entry point for *deliberate* reuse
-    /// across back-to-back jobs (e.g. a driver recycling one queue for a
-    /// sequence of runs): after `reset` the queue accepts pushes at any
-    /// time again, and the `(time, seq)` order is indistinguishable from
-    /// a freshly built queue.
-    pub fn reset(&mut self) {
-        self.watermark = SimTime::ZERO;
-        self.clear();
-        debug_assert_eq!(self.epoch_start, 0);
-    }
 }
 
 /// Epoch-based cancellable timer handle.
@@ -665,29 +652,6 @@ mod tests {
         assert_ne!(q.width, INITIAL_WIDTH_NS, "reprime should have re-fitted width");
         q.clear();
         assert_eq!(q.width, INITIAL_WIDTH_NS, "clear must restore the initial width");
-    }
-
-    /// `reset` is the deliberate-reuse entry point: watermark back to
-    /// zero, and a recycled queue is observationally identical to a
-    /// fresh one over an arbitrary (time, seq) workload.
-    #[test]
-    fn reset_matches_fresh_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), 1);
-        q.push(SimTime::from_secs(70), 2); // beyond horizon: exercises overflow
-        while q.pop().is_some() {}
-        assert_eq!(q.now(), SimTime::from_secs(70));
-        q.reset();
-        assert_eq!(q.now(), SimTime::ZERO, "reset rewinds the watermark");
-
-        let mut fresh = EventQueue::new();
-        for (t, p) in [(3u64, 0u64), (1, 1), (1, 2), (2, 3)] {
-            q.push(SimTime::from_secs(t), p);
-            fresh.push(SimTime::from_secs(t), p);
-        }
-        let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| fresh.pop()).collect();
-        assert_eq!(a, b, "recycled queue diverged from a fresh one");
     }
 
     /// Epoch re-priming: events far beyond the initial horizon, with

@@ -323,13 +323,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape:
+                    // both are ASCII, so the run ends on a char boundary
+                    // of the (valid UTF-8) input, and validating only
+                    // the run keeps parsing linear in the input size.
+                    let start = self.i;
+                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i]);
+                    out.push_str(run.map_err(|_| "invalid utf-8")?);
                 }
                 None => return Err("unterminated string".to_string()),
             }

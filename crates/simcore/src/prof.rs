@@ -343,11 +343,6 @@ impl Profile {
         self.nodes.len() <= 1
     }
 
-    /// Sum of measured self-time, ns (the denominator of every share).
-    pub fn measured_ns(&self) -> u64 {
-        self.nodes.iter().skip(1).map(|n| self.self_ns_of(n)).sum()
-    }
-
     fn self_ns_of(&self, n: &Node) -> u64 {
         let child_ns: u64 = n.children.iter().map(|&c| self.nodes[c as usize].total_ns).sum();
         n.total_ns.saturating_sub(child_ns)

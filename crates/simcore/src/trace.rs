@@ -20,7 +20,6 @@
 //! bit-for-bit without retaining their full traces.
 
 use crate::json::Json;
-use crate::stats::OnlineStats;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -500,11 +499,6 @@ impl Trace {
         Trace::bounded(usize::MAX)
     }
 
-    /// True when pushes are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.cap > 0
-    }
-
     /// Append one record, evicting the oldest when full.
     pub fn push(&mut self, t: SimTime, ev: TraceEvent) {
         if self.cap == 0 {
@@ -610,12 +604,14 @@ struct PendingExtent {
     entered: SimTime,
 }
 
-/// A deadline-FIFO entry the oracle shadows: after `deadline` passes,
-/// at most `fifo_batch × (writes_starved + 2)` other dispatches may
-/// happen at the layer before this request is served.
+/// A deadline-FIFO entry the oracle shadows: once `deadline` has
+/// passed and the entry is the oldest unserved one of its direction, at
+/// most `fifo_batch × (writes_starved + 2)` other dispatches may happen
+/// at the layer before this request is served.
 #[derive(Debug, Clone, Copy)]
 struct DlEntry {
     id: u64,
+    write: bool,
     deadline: SimTime,
     late_dispatches: u32,
 }
@@ -664,10 +660,13 @@ struct JobState {
 ///   so dispatches are legal between begin and swap.)
 /// * **Ring bound** — blkfront ring occupancy never exceeds its bound.
 /// * **Deadline expiry** — while the deadline scheduler is installed,
-///   once a queued request's FIFO deadline passes, it is served within
-///   `fifo_batch × (writes_starved + 2)` further dispatches (the
-///   current batch, plus the starvation-bounded batches of the other
-///   direction, at batch boundaries).
+///   once the oldest queued request of a direction is past its FIFO
+///   deadline, it is served within `fifo_batch × (writes_starved + 2)`
+///   further dispatches (the current batch, plus the starvation-bounded
+///   batches of the other direction, at batch boundaries). Only the
+///   FIFO head ages: the elevator serves expired requests in FIFO
+///   order, one expired head per batch, so a burst that expires
+///   together drains one batch at a time without starving anyone.
 /// * **Flows and phases** — every flow ends after it starts, at most
 ///   once; phase codes never decrease.
 /// * **Multi-job lifecycle** — for every job id: arrive ≤ admit ≤
@@ -766,7 +765,7 @@ impl TraceOracle {
                 .push_back(PendingExtent { id, sectors, entered: t });
             ls.pending_count += 1;
             if fresh_entry && ls.sched == deadline_code {
-                ls.dl_fifo.push(DlEntry { id, deadline: t + expire, late_dispatches: 0 });
+                ls.dl_fifo.push(DlEntry { id, write, deadline: t + expire, late_dispatches: 0 });
             }
             ls.quiesced
         };
@@ -828,11 +827,14 @@ impl TraceOracle {
                 served.push(p.id);
                 cursor += p.sectors;
             }
-            // Deadline expiry shadow: every expired, unserved FIFO entry
-            // ages by one dispatch.
+            // Deadline expiry shadow: the oldest unserved entry of each
+            // direction ages by one dispatch once it has expired.
             if ls.sched == deadline_code {
                 ls.dl_fifo.retain(|e| !served.contains(&e.id));
-                for e in ls.dl_fifo.iter_mut() {
+                for dir in [false, true] {
+                    let Some(e) = ls.dl_fifo.iter_mut().find(|e| e.write == dir) else {
+                        continue;
+                    };
                     if e.deadline < t {
                         e.late_dispatches += 1;
                         if e.late_dispatches == dl_bound + 1 {
@@ -1417,20 +1419,6 @@ pub fn to_chrome_json(cluster: &Trace, nodes: &[&Trace]) -> Json {
         .field("displayTimeUnit", "ms")
 }
 
-/// Summarize per-layer anticipation idles from a trace (helper for the
-/// metrics document: count and total armed nanoseconds per layer).
-pub fn idle_summary(trace: &Trace) -> HashMap<Layer, (u64, OnlineStats)> {
-    let mut out: HashMap<Layer, (u64, OnlineStats)> = HashMap::new();
-    for rec in trace.records() {
-        if let TraceEvent::IdleArm { layer, until } = rec.ev {
-            let e = out.entry(layer).or_default();
-            e.0 += 1;
-            e.1.record(until.saturating_since(rec.t).as_secs_f64());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1703,6 +1691,39 @@ mod tests {
         assert!(o.violations()[0].contains("expired"), "{:?}", o.violations());
     }
 
+    /// The deadline elevator serves expired requests in FIFO order, one
+    /// expired head per batch: a burst of reads that expires together
+    /// drains one batch at a time, which is not starvation however long
+    /// the burst is.
+    #[test]
+    fn oracle_accepts_fifo_order_drain_of_an_expired_burst() {
+        let mut tr = Trace::unbounded();
+        let l = Layer::Host;
+        tr.push(SimTime::ZERO, TraceEvent::SchedInstall { layer: l, sched: b'd' });
+        // Eight reads arrive together and all expire at 500 ms.
+        for i in 0..8u64 {
+            tr.push(SimTime::ZERO, ev_arrive(l, 1 + i, i * 8, 8));
+        }
+        // From 600 ms on, each 16-dispatch batch serves the expired FIFO
+        // head plus 15 fresh reads: the last head goes out after 113
+        // dispatches, well past the 64-dispatch bound of a single entry.
+        let mut fresh = 100u64;
+        for i in 0..8u64 {
+            let t = SimTime::from_millis(600 + i);
+            let head = TraceEvent::Dispatch { layer: l, id: 1 + i, sector: i * 8, sectors: 8, write: false };
+            tr.push(t, head);
+            for _ in 0..15 {
+                let sector = 10_000 + fresh * 8;
+                tr.push(t, ev_arrive(l, fresh, sector, 8));
+                tr.push(t, TraceEvent::Dispatch { layer: l, id: fresh, sector, sectors: 8, write: false });
+                fresh += 1;
+            }
+        }
+        let mut o = TraceOracle::default();
+        o.replay(&tr);
+        o.assert_clean();
+    }
+
     #[test]
     fn oracle_checks_flow_pairing() {
         let mut tr = Trace::unbounded();
@@ -1890,17 +1911,5 @@ mod tests {
             !evs.iter().any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("e")),
             "{text}"
         );
-    }
-
-    #[test]
-    fn idle_summary_counts_arms() {
-        let mut tr = Trace::unbounded();
-        let l = Layer::Guest(1);
-        tr.push(SimTime::ZERO, TraceEvent::IdleArm { layer: l, until: SimTime::from_millis(6) });
-        tr.push(SimTime::from_millis(10), TraceEvent::IdleArm { layer: l, until: SimTime::from_millis(16) });
-        let s = idle_summary(&tr);
-        let (n, stats) = &s[&l];
-        assert_eq!(*n, 2);
-        assert!((stats.mean() - 0.006).abs() < 1e-9);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Wires together `mrsim` task programs, per-node `vmstack` block
 //! stacks, the per-VM VCPU processor-sharing model and the flow-level
-//! network into one deterministic event loop, and executes a job under
-//! a [`SwitchPlan`] — the per-phase (VMM, VM) elevator-pair schedule
-//! the paper's meta-scheduler produces.
+//! network into one deterministic event loop, and executes either one
+//! job under a [`SwitchPlan`] — the per-phase (VMM, VM) elevator-pair
+//! schedule the paper's meta-scheduler produces — or a stream of
+//! arriving jobs ([`ClusterSim::stream`]) whose tasks share the VMs'
+//! map/reduce slots, so every elevator sees the jobs' I/O interleave.
 
 use crate::cache::PageCache;
 use crate::cpu::{Vcpu, WorkId};
@@ -13,12 +15,12 @@ use crate::network::{FlowId, NetParams, Network};
 use iosched::{Dir, IoRequest, RequestId, SchedPair, StreamId};
 use mrsim::{
     map_output_file, map_plan, reduce_plan, ClusterShape, FileRef, JobEvent, JobPhase, JobSpec,
-    JobTracker, PhaseTimes, TaskId, TaskKind, TaskOp,
+    JobTracker, PhaseTimes, SlotLedger, TaskId, TaskKind, TaskOp,
 };
 use simcore::trace::{combine_digests, Trace, TraceEvent};
 use simcore::{
-    EventQueue, FxHashMap, Json, MetricsRegistry, OnlineStats, SimDuration, SimTime, Timer,
-    TimerTicket,
+    EventQueue, FxHashMap, Json, MetricsRegistry, OnlineStats, OracleConfig, SimDuration, SimTime,
+    Timer, TimerTicket, TraceOracle,
 };
 use vmstack::{NodeParams, NodeStack, StackAction, StackEvent, VmId};
 
@@ -125,6 +127,36 @@ impl SwitchPlan {
     }
 }
 
+/// The live phase mix: for each tenant, how many of its running jobs
+/// sit in each paper phase (index 0 = Ph1 maps, 1 = Ph2 shuffle tail,
+/// 2 = Ph3 reduce). Overlapping jobs make this a *vector*, not a single
+/// phase code — the quantity a cluster-level policy blends profiles
+/// with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseMix {
+    /// `per_tenant[t][p]` = tenant `t`'s running jobs in phase `p`.
+    pub per_tenant: Vec<[f64; 3]>,
+}
+
+impl PhaseMix {
+    /// True when no job is running.
+    pub fn is_idle(&self) -> bool {
+        self.per_tenant.iter().flatten().all(|&x| x == 0.0)
+    }
+}
+
+/// One job of a stream: when it arrives, its tenant class (an index
+/// into the caller's tenant list) and what it runs.
+#[derive(Debug, Clone)]
+pub struct StreamJob {
+    /// Arrival instant.
+    pub at: SimTime,
+    /// Tenant class index.
+    pub tenant: usize,
+    /// The job.
+    pub job: JobSpec,
+}
+
 /// A point-in-time view of cluster I/O state handed to an
 /// [`OnlinePolicy`] — the "status of the VMs' I/O (i.e. the number of
 /// requests)" the paper's future-work section proposes to switch on.
@@ -132,10 +164,12 @@ impl SwitchPlan {
 pub struct ClusterSnapshot {
     /// Current simulated time.
     pub now: SimTime,
-    /// Fraction of map tasks committed.
+    /// Fraction of map tasks committed (over the running jobs).
     pub maps_done_fraction: f64,
-    /// Fraction of reduce tasks committed.
+    /// Fraction of reduce tasks committed (over the running jobs).
     pub reduces_done_fraction: f64,
+    /// Running jobs per tenant and phase.
+    pub mix: PhaseMix,
     /// Per-node Dom0 elevator queue depth.
     pub dom0_queue_lens: Vec<usize>,
     /// Per-VM (global index) guest elevator queue depth.
@@ -188,6 +222,11 @@ impl PolicyAudit {
 /// the paper's proposed fine-grained extension of the offline
 /// meta-scheduler.
 pub trait OnlinePolicy: Send {
+    /// Display name for reports.
+    fn name(&self) -> String {
+        "online".to_string()
+    }
+
     /// Inspect the snapshot; return a pair to switch the cluster to
     /// (returning the current pair or `None` keeps it).
     fn decide(&mut self, snap: &ClusterSnapshot) -> Option<SchedPair>;
@@ -232,6 +271,27 @@ pub struct JobOutcome {
     /// for the sweep benches; deliberately not part of the metrics
     /// document, whose byte layout is pinned by goldens).
     pub events_processed: u64,
+}
+
+/// Result of a job-stream run ([`ClusterSim::run_stream`]).
+#[derive(Debug, Clone)]
+pub struct StreamOutcome {
+    /// `(tenant, arrival, completion)` of every job, in arrival order.
+    pub jobs: Vec<(usize, SimTime, SimTime)>,
+    /// Busy slot time (sum of task spans): map slots, reduce slots.
+    pub slot_busy: [SimDuration; 2],
+    /// Online-policy consultations.
+    pub policy_ticks: u64,
+    /// Switches the policy decided, `(time, pair)`.
+    pub switches: Vec<(SimTime, SchedPair)>,
+    /// Records pushed to every trace (nodes plus cluster), and how
+    /// many of them the rings dropped.
+    pub trace_records: u64,
+    /// See `trace_records`.
+    pub trace_dropped: u64,
+    /// Combined rolling digest of every node trace plus the cluster
+    /// trace (which carries the `Job*`/`Slot*` lifecycle records).
+    pub trace_digest: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -319,12 +379,20 @@ impl Writeback {
 }
 
 struct Fetch {
+    job: u32,
     reduce_idx: u32,
     map: TaskId,
     bytes: u64,
+    /// The job's I/O chunk size in sectors.
+    chunk_sectors: u64,
 }
 
 struct TaskRt {
+    job: u32,
+    /// The job's I/O chunk size in sectors.
+    chunk_sectors: u64,
+    /// When the task took its slot.
+    started: SimTime,
     kind: TaskKind,
     gvm: u32,
     ops: Vec<TaskOp>,
@@ -343,9 +411,34 @@ enum Ev {
     Net { ticket: TimerTicket },
     Cpu { gvm: u32, ticket: TimerTicket },
     /// Reducers learn (via heartbeat) that a map's output is fetchable.
-    MapFetchable { map: TaskId },
+    MapFetchable { job: u32, map: TaskId },
+    /// Stream job `i` arrives.
+    JobArrive(u32),
     /// Periodic online-policy consultation.
     PolicyTick,
+}
+
+/// One admitted job: its spec, tracker and shuffle bookkeeping.
+struct JobRt {
+    spec: JobSpec,
+    tracker: JobTracker,
+    tenant: usize,
+    /// Bytes appended to each reducer's shuffle run so far.
+    shuffle_off: Vec<u64>,
+    /// Maps whose output reducers know about (heartbeat passed), in
+    /// order: the fetch backlog of a reducer that starts late.
+    fetchable: Vec<TaskId>,
+}
+
+/// Job-stream bookkeeping; absent when the sim runs one job.
+struct Stream {
+    arrivals: Vec<StreamJob>,
+    tenants: usize,
+    max_concurrent: usize,
+    /// Arrived jobs waiting for admission, FIFO.
+    waiting: VecDeque<u32>,
+    /// Completion instant per job.
+    done_at: Vec<Option<SimTime>>,
 }
 
 /// Periodic coarse sim-state snapshots for the crash flight recorder.
@@ -384,10 +477,9 @@ impl FlightRecorder {
     }
 }
 
-/// The cluster simulator. Build one per job execution.
+/// The cluster simulator. Build one per job (or job stream) execution.
 pub struct ClusterSim {
     params: ClusterParams,
-    job: JobSpec,
     plan: SwitchPlan,
     nodes: Vec<NodeStack>,
     net: Network,
@@ -398,7 +490,21 @@ pub struct ClusterSim {
     vcpus: Vec<Vcpu>,
     cpu_timers: Vec<Timer>,
     files: Vec<VmFiles>,
-    tracker: JobTracker,
+    /// Jobs by id (arrival index): `None` before admission and, in a
+    /// stream, after completion.
+    jobs: Vec<Option<JobRt>>,
+    /// Admitted, unfinished job ids, ascending: the round-robin order
+    /// in which freed slots are offered.
+    active: Vec<u32>,
+    /// Round-robin cursor into `active`.
+    rr: usize,
+    slots: SlotLedger,
+    next_task_base: TaskId,
+    /// Jobs not yet completed; the run ends at zero.
+    jobs_left: usize,
+    /// Busy slot time, map and reduce.
+    slot_busy: [SimDuration; 2],
+    stream: Option<Stream>,
     // Sequential-id lookup maps on the hot path. None of these are ever
     // iterated (iteration order would be nondeterministic), so the fast
     // hash map is safe.
@@ -417,8 +523,6 @@ pub struct ClusterSim {
     flow_map: Vec<Option<(FlowOwner, SimTime)>>,
     fetches: FxHashMap<u64, Fetch>,
     next_fetch: u64,
-    /// Bytes appended to each reducer's shuffle run so far.
-    shuffle_off: Vec<u64>,
     caches: Vec<PageCache>,
     writeback: Vec<Writeback>,
     queue: EventQueue<Ev>,
@@ -457,29 +561,68 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Set up a job on a fresh cluster.
+    /// Set up a job on a fresh cluster: a one-job stream admitted at
+    /// t = 0, whose lifecycle is neither queued nor traced.
     pub fn new(params: ClusterParams, job: JobSpec, plan: SwitchPlan) -> Self {
+        job.validate(&params.shape).expect("invalid job");
+        let mut sim = ClusterSim::empty(params, plan, &[&job]);
+        sim.admit_job(0, job, 0);
+        sim
+    }
+
+    /// Set up a stream of `jobs` on a fresh cluster under one elevator
+    /// pair (an attached [`OnlinePolicy`] may switch it). Each job
+    /// enters at its arrival instant and is admitted while fewer than
+    /// `max_concurrent` jobs run, FIFO otherwise; a freed slot is
+    /// offered round-robin to the running jobs, each taking its next
+    /// task local to that VM. `tenants` sizes the snapshot's
+    /// [`PhaseMix`]. The cluster trace records every job's
+    /// `Job*`/`Slot*` lifecycle and no job phases, since overlapping
+    /// jobs have no single phase.
+    pub fn stream(
+        params: ClusterParams,
+        jobs: Vec<StreamJob>,
+        tenants: usize,
+        max_concurrent: u32,
+        pair: SchedPair,
+    ) -> Self {
+        for j in &jobs {
+            j.job.validate(&params.shape).expect("invalid job");
+            assert!(j.tenant < tenants, "tenant {} out of range", j.tenant);
+        }
+        let specs: Vec<&JobSpec> = jobs.iter().map(|j| &j.job).collect();
+        let mut sim = ClusterSim::empty(params, SwitchPlan::single(pair), &specs);
+        for (i, j) in jobs.iter().enumerate() {
+            sim.queue.push(j.at, Ev::JobArrive(i as u32));
+        }
+        sim.stream = Some(Stream {
+            done_at: vec![None; jobs.len()],
+            arrivals: jobs,
+            tenants,
+            max_concurrent: max_concurrent as usize,
+            waiting: VecDeque::new(),
+        });
+        sim
+    }
+
+    /// A fresh cluster with room for `jobs` and none of them admitted.
+    fn empty(params: ClusterParams, plan: SwitchPlan, jobs: &[&JobSpec]) -> Self {
         let shape = params.shape;
-        job.validate(&shape).expect("invalid job");
-        let tracker = JobTracker::new(&job, &shape);
         let nodes: Vec<NodeStack> = (0..shape.nodes)
             .map(|_| NodeStack::new(params.node.clone(), shape.vms_per_node, plan.initial))
             .collect();
         let total_vms = shape.total_vms();
-        let mut files: Vec<VmFiles> = (0..total_vms)
-            .map(|_| VmFiles::new(params.node.vm_extent_sectors))
-            .collect();
-        // Pre-existing HDFS blocks: replica 0 at the block's home VM.
-        for b in 0..job.num_blocks(&shape) {
-            let home = tracker.block_home(b);
-            files[home as usize].ensure(FileRef::HdfsBlock { block: b, replica: 0 }, job.block_bytes);
-        }
-        let num_reduces = job.num_reduces(&shape) as usize;
-        // Size the event queue from the job plan: each task contributes
-        // a handful of in-flight chunk events, each VM its kick/CPU
-        // timers, plus network/heartbeat slack. Pending events, not
-        // total events — the queue holds the frontier, not the history.
-        let plan_events = (tracker.num_maps() as usize + tracker.num_reduces() as usize) * 8
+        // Size the event queue from the largest job: each task
+        // contributes a handful of in-flight chunk events, each VM its
+        // kick/CPU timers, plus network/heartbeat slack. Pending events,
+        // not total events — the queue holds the frontier, not the
+        // history.
+        let tasks = jobs
+            .iter()
+            .map(|j| j.num_blocks(&shape) as usize + j.num_reduces(&shape) as usize)
+            .max()
+            .unwrap_or(0);
+        let plan_events = tasks * 8
             + total_vms as usize * (params.read_window + params.write_window + 8)
             + 1024;
         ClusterSim {
@@ -489,8 +632,17 @@ impl ClusterSim {
             net_stale: false,
             vcpus: (0..total_vms).map(|_| Vcpu::new()).collect(),
             cpu_timers: (0..total_vms).map(|_| Timer::new()).collect(),
-            files,
-            tracker,
+            files: (0..total_vms)
+                .map(|_| VmFiles::new(params.node.vm_extent_sectors))
+                .collect(),
+            jobs: (0..jobs.len()).map(|_| None).collect(),
+            active: Vec::new(),
+            rr: 0,
+            slots: SlotLedger::new(&shape),
+            next_task_base: 0,
+            jobs_left: jobs.len(),
+            slot_busy: [SimDuration::ZERO; 2],
+            stream: None,
             tasks: FxHashMap::default(),
             streams: FxHashMap::default(),
             next_stream: 1,
@@ -501,7 +653,6 @@ impl ClusterSim {
             flow_map: Vec::new(),
             fetches: FxHashMap::default(),
             next_fetch: 1,
-            shuffle_off: vec![0; num_reduces],
             caches: (0..total_vms)
                 .map(|_| PageCache::new(params.page_cache_bytes))
                 .collect(),
@@ -530,14 +681,136 @@ impl ClusterSim {
             policy_audit: Vec::new(),
             flight: FlightRecorder::new(),
             params,
-            job,
             plan,
         }
     }
 
-    /// The cluster-level trace (flows and phase transitions).
+    /// Admit job `id`: give it a disjoint task-id space and lay out its
+    /// HDFS blocks (replica 0 at each block's home VM, keyed by the
+    /// reading map's task id). Its tasks take slots from then on.
+    fn admit_job(&mut self, id: u32, spec: JobSpec, tenant: usize) {
+        let tracker = JobTracker::with_task_base(&spec, &self.params.shape, self.next_task_base);
+        self.next_task_base += tracker.num_maps() + tracker.num_reduces();
+        for b in 0..tracker.num_maps() {
+            let file = FileRef::HdfsBlock { block: tracker.task_base() + b, replica: 0 };
+            self.files[tracker.block_home(b) as usize].ensure(file, spec.block_bytes);
+        }
+        self.jobs[id as usize] = Some(JobRt {
+            shuffle_off: vec![0; tracker.num_reduces() as usize],
+            spec,
+            tracker,
+            tenant,
+            fetchable: Vec::new(),
+        });
+        self.active.push(id);
+    }
+
+    /// Admit stream job `id` and let it take every free slot it can.
+    fn admit(&mut self, id: u32) {
+        let sj = &self.stream.as_ref().expect("stream").arrivals[id as usize];
+        let (spec, tenant) = (sj.job.clone(), sj.tenant);
+        self.admit_job(id, spec, tenant);
+        self.trace.push(self.now, TraceEvent::JobAdmit { job: id as u64 });
+        self.fill_all_slots();
+    }
+
+    /// Job `id` committed. In a stream it leaves the cluster, its files
+    /// are deleted from every VM disk, and the oldest waiting job is
+    /// admitted.
+    fn complete_job(&mut self, id: u32) {
+        self.jobs_left -= 1;
+        let Some(s) = self.stream.as_mut() else { return };
+        s.done_at[id as usize] = Some(self.now);
+        let next = s.waiting.pop_front();
+        let pos = self.active.iter().position(|&j| j == id).expect("running job");
+        self.active.remove(pos);
+        if self.rr > pos {
+            self.rr -= 1;
+        }
+        let t = self.jobs[id as usize].take().expect("running job").tracker;
+        let tasks = t.task_base()..t.task_base() + t.num_maps() + t.num_reduces();
+        for f in &mut self.files {
+            f.release_tasks(tasks.clone());
+        }
+        self.trace.push(self.now, TraceEvent::JobComplete { job: id as u64 });
+        if let Some(next) = next {
+            self.admit(next);
+        }
+    }
+
+    fn job(&self, id: u32) -> &JobRt {
+        self.jobs[id as usize].as_ref().expect("running job")
+    }
+
+    fn job_mut(&mut self, id: u32) -> &mut JobRt {
+        self.jobs[id as usize].as_mut().expect("running job")
+    }
+
+    /// Offer every free slot on every VM: map slots first, then reduce
+    /// slots, each in VM order.
+    fn fill_all_slots(&mut self) {
+        for map in [true, false] {
+            for gvm in 0..self.params.shape.total_vms() {
+                self.fill_slots(gvm, map);
+            }
+        }
+    }
+
+    /// Offer the free map (or reduce) slots of `gvm` round-robin to the
+    /// running jobs, each taking its next task local to that VM, until
+    /// the slots or the local tasks run out.
+    fn fill_slots(&mut self, gvm: u32, map: bool) {
+        let mut idle = 0;
+        while idle < self.active.len() && self.slots.free(gvm, map) > 0 {
+            self.rr %= self.active.len();
+            let id = self.active[self.rr];
+            self.rr += 1;
+            let tracker = &mut self.job_mut(id).tracker;
+            let next = if map { tracker.pop_local_map(gvm) } else { tracker.pop_local_reduce(gvm) };
+            let Some(a) = next else {
+                idle += 1;
+                continue;
+            };
+            idle = 0;
+            self.slots.try_acquire(gvm, map);
+            if self.stream.is_some() {
+                self.trace.push(self.now, TraceEvent::SlotAcquire { job: id as u64, gvm, map });
+            }
+            self.start_task(id, a);
+        }
+    }
+
+    /// The cluster-level trace (flows and phase transitions, or the
+    /// job lifecycle of a stream).
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    /// Mutable cluster trace — for injecting a record before a replay
+    /// (the strict-mode fault hook of `repro-cli serve-jobs`).
+    pub fn trace_mut(&mut self) -> &mut Trace {
+        &mut self.trace
+    }
+
+    /// Replay every node trace and the cluster trace through a strict
+    /// [`TraceOracle`] that also holds the cluster's slot capacities;
+    /// returns every violation (empty = clean). Meaningful with rings
+    /// that dropped nothing.
+    pub fn oracle_violations(&self) -> Vec<String> {
+        let shape = self.params.shape;
+        let cfg = OracleConfig {
+            map_slots_per_vm: Some(shape.map_slots_per_vm),
+            reduce_slots_per_vm: Some(shape.reduce_slots_per_vm),
+            ..OracleConfig::default()
+        };
+        let traces = self.nodes.iter().map(|n| n.trace()).chain(std::iter::once(&self.trace));
+        let mut out = Vec::new();
+        for tr in traces {
+            let mut oracle = TraceOracle::new(cfg.clone());
+            oracle.replay(tr);
+            out.extend_from_slice(oracle.violations());
+        }
+        out
     }
 
     /// Attach a reactive switching policy consulted every `period`
@@ -550,12 +823,24 @@ impl ClusterSim {
     }
 
     fn snapshot(&self) -> ClusterSnapshot {
+        let tenants = self.stream.as_ref().map_or(1, |s| s.tenants);
+        let mut mix = PhaseMix { per_tenant: vec![[0.0; 3]; tenants] };
+        let [mut maps, mut maps_done, mut reduces, mut reduces_done] = [0u32; 4];
+        for &id in &self.active {
+            let j = self.job(id);
+            let t = &j.tracker;
+            maps += t.num_maps();
+            maps_done += t.maps_done_count();
+            reduces += t.num_reduces();
+            reduces_done += t.reduces_done_count();
+            mix.per_tenant[j.tenant][t.phase().code() as usize - 1] += 1.0;
+        }
+        let frac = |done: u32, all: u32| if all > 0 { done as f64 / all as f64 } else { 0.0 };
         ClusterSnapshot {
             now: self.now,
-            maps_done_fraction: self.tracker.maps_done_count() as f64
-                / self.tracker.num_maps() as f64,
-            reduces_done_fraction: self.tracker.reduces_done_count() as f64
-                / self.tracker.num_reduces() as f64,
+            maps_done_fraction: frac(maps_done, maps),
+            reduces_done_fraction: frac(reduces_done, reduces),
+            mix,
             dom0_queue_lens: self.nodes.iter().map(|n| n.dom0_queue_len()).collect(),
             guest_queue_lens: (0..self.params.shape.total_vms())
                 .map(|g| {
@@ -739,6 +1024,12 @@ impl ClusterSim {
         debug_assert!(bytes > 0, "empty stream");
         debug_assert!(!buffered || dir == Dir::Write, "only writes buffer");
         let (node, vm) = self.gvm_loc(gvm);
+        let chunk_sectors = match owner {
+            Owner::TaskStream(t) | Owner::RepLocal(t) | Owner::RepRemote(t) => {
+                self.tasks[&t].chunk_sectors
+            }
+            Owner::FetchSrc(f) | Owner::FetchDst(f) => self.fetches[&f].chunk_sectors,
+        };
         let key = self.next_stream;
         self.next_stream += 1;
         self.streams.insert(
@@ -749,7 +1040,7 @@ impl ClusterSim {
                 stream,
                 base_sector,
                 sectors: bytes.div_ceil(512).max(1),
-                chunk_sectors: (self.job.io_chunk_bytes / 512).max(1),
+                chunk_sectors,
                 window,
                 dir,
                 sync,
@@ -971,9 +1262,9 @@ impl ClusterSim {
             }
             Owner::FetchSrc(fid) => {
                 let f = &self.fetches[&fid];
-                let src_node = self.tracker.block_home(f.map) / self.params.shape.vms_per_node;
-                let dst_gvm = self.tracker.reduce_home(f.reduce_idx);
-                let dst_node = dst_gvm / self.params.shape.vms_per_node;
+                let tracker = &self.job(f.job).tracker;
+                let src_node = tracker.map_home(f.map) / self.params.shape.vms_per_node;
+                let dst_node = tracker.reduce_home(f.reduce_idx) / self.params.shape.vms_per_node;
                 let bytes = f.bytes;
                 self.start_flow(FlowOwner::Fetch(fid), src_node, dst_node, bytes);
             }
@@ -992,8 +1283,8 @@ impl ClusterSim {
     }
 
     fn maybe_finish_repwrite(&mut self, task: TaskId) {
+        let need_remote = self.job(self.tasks[&task].job).spec.replicas > 1;
         let rt = self.tasks.get_mut(&task).expect("live task");
-        let need_remote = self.job.replicas > 1;
         if rt.rep_local_done && (rt.rep_remote_done || !need_remote) {
             rt.rep_local_done = false;
             rt.rep_remote_done = false;
@@ -1010,15 +1301,16 @@ impl ClusterSim {
         match owner {
             FlowOwner::Fetch(fid) => {
                 let f = &self.fetches[&fid];
-                let r = f.reduce_idx;
-                let bytes = f.bytes;
-                let dst_gvm = self.tracker.reduce_home(r);
-                let reduce_task = self.tracker.reduce_task_id(r);
-                let total = self.job.shuffle_per_reduce(&self.params.shape);
+                let (job, r, bytes) = (f.job, f.reduce_idx, f.bytes);
+                let shape = self.params.shape;
+                let j = self.job_mut(job);
+                let dst_gvm = j.tracker.reduce_home(r);
+                let reduce_task = j.tracker.reduce_task_id(r);
+                let total = j.spec.shuffle_per_reduce(&shape);
+                let off = j.shuffle_off[r as usize];
+                j.shuffle_off[r as usize] += bytes;
                 let ext = self.files[dst_gvm as usize]
                     .ensure(FileRef::ShuffleRun { task: reduce_task }, total.max(1));
-                let off = self.shuffle_off[r as usize];
-                self.shuffle_off[r as usize] += bytes;
                 self.start_stream(
                     Owner::FetchDst(fid),
                     dst_gvm,
@@ -1061,60 +1353,66 @@ impl ClusterSim {
 
     fn on_fetch_finished(&mut self, fid: u64) {
         let f = self.fetches.remove(&fid).expect("live fetch");
-        let events = self.tracker.on_fetch_complete(f.reduce_idx, f.map, self.now);
-        let reduce_task = self.tracker.reduce_task_id(f.reduce_idx);
+        let now = self.now;
+        let tracker = &mut self.job_mut(f.job).tracker;
+        let events = tracker.on_fetch_complete(f.reduce_idx, f.map, now);
+        let reduce_task = tracker.reduce_task_id(f.reduce_idx);
         {
             let rt = self.tasks.get_mut(&reduce_task).expect("live reduce");
             rt.active_fetches -= 1;
         }
-        self.try_start_fetches(f.reduce_idx);
+        self.try_start_fetches(f.job, f.reduce_idx);
         // Advance the reducer past its Shuffle op when everything landed.
         let rt = &self.tasks[&reduce_task];
         if matches!(rt.ops.get(rt.cur), Some(TaskOp::Shuffle))
             && rt.active_fetches == 0
-            && self.tracker.reduce_shuffle_complete(f.reduce_idx)
+            && self.job(f.job).tracker.reduce_shuffle_complete(f.reduce_idx)
         {
             self.tasks.get_mut(&reduce_task).expect("live").cur += 1;
             self.advance_task(reduce_task);
         }
-        self.handle_job_events(events);
+        self.handle_job_events(f.job, events);
     }
 
-    fn try_start_fetches(&mut self, r: u32) {
-        let reduce_task = self.tracker.reduce_task_id(r);
+    fn try_start_fetches(&mut self, job: u32, r: u32) {
+        let j = self.job(job);
+        let (reduce_task, parallel_copies) = (j.tracker.reduce_task_id(r), j.spec.parallel_copies);
         loop {
-            let rt = self.tasks.get_mut(&reduce_task).expect("live reduce");
+            // A reducer still waiting for a slot fetches once it starts.
+            let Some(rt) = self.tasks.get_mut(&reduce_task) else { return };
             if !matches!(rt.ops.get(rt.cur), Some(TaskOp::Shuffle)) {
                 return;
             }
-            if rt.active_fetches >= self.job.parallel_copies {
+            if rt.active_fetches >= parallel_copies {
                 return;
             }
             let Some(map) = rt.fetch_queue.pop_front() else { return };
             rt.active_fetches += 1;
-            let bytes = (self.job.map_output_per_block()
-                / self.tracker.num_reduces() as u64)
-                .max(1);
+            let j = self.job(job);
+            let num_reduces = j.tracker.num_reduces() as u64;
+            let bytes = (j.spec.map_output_per_block() / num_reduces).max(1);
+            // Source-side read of the map's output partition by the
+            // per-VM HTTP server daemon. A recently committed output is
+            // still in the source VM's page cache and skips the disk.
+            let src_gvm = j.tracker.map_home(map);
+            let dst_node = j.tracker.reduce_home(r) / self.params.shape.vms_per_node;
+            let file = map_output_file(&j.spec, map);
+            let chunk_sectors = (j.spec.io_chunk_bytes / 512).max(1);
             let fid = self.next_fetch;
             self.next_fetch += 1;
             self.fetches.insert(
                 fid,
                 Fetch {
+                    job,
                     reduce_idx: r,
                     map,
                     bytes,
+                    chunk_sectors,
                 },
             );
-            // Source-side read of the map's output partition by the
-            // per-VM HTTP server daemon. A recently committed output is
-            // still in the source VM's page cache and skips the disk.
-            let src_gvm = self.tracker.block_home(map);
-            let file = map_output_file(&self.job, map);
             if self.caches[src_gvm as usize].read_hit(file, bytes) {
                 self.cache_hits += 1;
                 let src_node = src_gvm / self.params.shape.vms_per_node;
-                let dst_node =
-                    self.tracker.reduce_home(r) / self.params.shape.vms_per_node;
                 self.start_flow(FlowOwner::Fetch(fid), src_node, dst_node, bytes);
                 continue;
             }
@@ -1123,8 +1421,7 @@ impl ClusterSim {
                 .get(file)
                 .expect("map output exists after map committed");
             // Partition offset within the output: reducer index slice.
-            let off_sectors =
-                ext.sectors * r as u64 / self.tracker.num_reduces() as u64;
+            let off_sectors = ext.sectors * r as u64 / num_reduces;
             self.start_stream(
                 Owner::FetchSrc(fid),
                 src_gvm,
@@ -1145,34 +1442,41 @@ impl ClusterSim {
     // Task execution
     // ------------------------------------------------------------------
 
-    fn start_task(&mut self, a: mrsim::Assignment) {
-        let ops = match a.kind {
-            TaskKind::Map => map_plan(&self.job, a.task, a.block.expect("map has a block")),
-            TaskKind::Reduce => reduce_plan(&self.job, &self.params.shape, a.task),
+    fn start_task(&mut self, job: u32, a: mrsim::Assignment) {
+        let j = self.job(job);
+        let (ops, fetch_queue) = match a.kind {
+            TaskKind::Map => (map_plan(&j.spec, a.task), VecDeque::new()),
+            // A reducer starting after maps of its job became fetchable
+            // queues their outputs up front; later ones arrive through
+            // MapFetchable heartbeat events.
+            TaskKind::Reduce => (
+                reduce_plan(&j.spec, &self.params.shape, a.task),
+                j.fetchable.iter().copied().collect(),
+            ),
         };
         self.tasks.insert(
             a.task,
             TaskRt {
+                job,
+                chunk_sectors: (j.spec.io_chunk_bytes / 512).max(1),
+                started: self.now,
                 kind: a.kind,
                 gvm: a.gvm,
                 ops,
                 cur: 0,
-                fetch_queue: VecDeque::new(),
+                fetch_queue,
                 active_fetches: 0,
                 rep_local_done: false,
                 rep_remote_done: false,
             },
         );
-        // Reducers all start with the job, before any map commits, so
-        // there is nothing to pre-fill: fetch work arrives exclusively
-        // through MapFetchable heartbeat events.
         self.advance_task(a.task);
     }
 
     fn advance_task(&mut self, task: TaskId) {
         loop {
             let rt = &self.tasks[&task];
-            let gvm = rt.gvm;
+            let (gvm, job) = (rt.gvm, rt.job);
             if rt.cur >= rt.ops.len() {
                 return self.finish_task(task);
             }
@@ -1239,10 +1543,10 @@ impl ClusterSim {
                     return;
                 }
                 TaskOp::Shuffle => {
-                    let r = self.tracker.reduce_index(task);
-                    self.try_start_fetches(r);
+                    let r = self.job(job).tracker.reduce_index(task);
+                    self.try_start_fetches(job, r);
                     let rt = &self.tasks[&task];
-                    if rt.active_fetches == 0 && self.tracker.reduce_shuffle_complete(r) {
+                    if rt.active_fetches == 0 && self.job(job).tracker.reduce_shuffle_complete(r) {
                         self.tasks.get_mut(&task).expect("live").cur += 1;
                         continue;
                     }
@@ -1263,7 +1567,7 @@ impl ClusterSim {
                         Some(file),
                         true,
                     );
-                    if self.job.replicas > 1 {
+                    if self.job(job).spec.replicas > 1 {
                         let (src_node, _) = self.gvm_loc(gvm);
                         let remote = self.replica_gvm(gvm);
                         let dst_node = remote / self.params.shape.vms_per_node;
@@ -1275,36 +1579,50 @@ impl ClusterSim {
         }
     }
 
+    /// A task committed: free its slot, tell its tracker, and offer
+    /// the slot to the next local task.
     fn finish_task(&mut self, task: TaskId) {
-        let kind = self.tasks[&task].kind;
-        match kind {
-            TaskKind::Map => {
-                let (next, events) = self.tracker.on_map_done(task, self.now);
-                // The committed map's output becomes fetchable after the
-                // next TaskTracker heartbeat round.
-                self.queue.push(
-                    self.now + self.params.heartbeat,
-                    Ev::MapFetchable { map: task },
-                );
-                if let Some(a) = next {
-                    self.start_task(a);
-                }
-                self.handle_job_events(events);
-            }
-            TaskKind::Reduce => {
-                let events = self.tracker.on_reduce_done(task, self.now);
-                self.handle_job_events(events);
-            }
+        let rt = self.tasks.remove(&task).expect("live task");
+        let map = rt.kind == TaskKind::Map;
+        let now = self.now;
+        self.slot_busy[!map as usize] += now.saturating_since(rt.started);
+        let j = self.job_mut(rt.job);
+        let (events, bytes) = if map {
+            (j.tracker.on_map_done(task, now), j.spec.block_bytes)
+        } else {
+            (j.tracker.on_reduce_done(task, now), 0)
+        };
+        if map {
+            // The committed map's output becomes fetchable after the
+            // next TaskTracker heartbeat round.
+            self.queue.push(
+                now + self.params.heartbeat,
+                Ev::MapFetchable { job: rt.job, map: task },
+            );
         }
-        let total = (self.tracker.num_maps() + self.tracker.num_reduces()) as f64;
-        let done = (self.tracker.maps_done_count() + self.tracker.reduces_done_count()) as f64;
-        self.progress.push((self.now, done / total));
+        self.slots.release(rt.gvm, map);
+        if self.stream.is_some() {
+            let ev = TraceEvent::SlotRelease { job: rt.job as u64, gvm: rt.gvm, map, bytes };
+            self.trace.push(now, ev);
+        }
+        self.handle_job_events(rt.job, events);
+        self.fill_slots(rt.gvm, map);
+        if self.stream.is_none() {
+            let t = &self.job(0).tracker;
+            let total = (t.num_maps() + t.num_reduces()) as f64;
+            let done = (t.maps_done_count() + t.reduces_done_count()) as f64;
+            self.progress.push((now, done / total));
+        }
     }
 
-    fn handle_job_events(&mut self, events: Vec<JobEvent>) {
+    /// Apply tracker milestones. A job alone on the cluster is in one
+    /// phase at a time: its transitions are traced, label the nodes'
+    /// telemetry and trigger the switch plan.
+    fn handle_job_events(&mut self, job: u32, events: Vec<JobEvent>) {
+        let single = self.stream.is_none();
         for ev in events {
             match ev {
-                JobEvent::MapsAllDone => {
+                JobEvent::MapsAllDone if single => {
                     self.trace
                         .push(self.now, TraceEvent::Phase { phase: JobPhase::Ph2.code() });
                     self.set_phase_all(JobPhase::Ph2.code());
@@ -1312,7 +1630,7 @@ impl ClusterSim {
                         self.switch_all(pair);
                     }
                 }
-                JobEvent::ShuffleAllDone => {
+                JobEvent::ShuffleAllDone if single => {
                     self.trace
                         .push(self.now, TraceEvent::Phase { phase: JobPhase::Ph3.code() });
                     self.set_phase_all(JobPhase::Ph3.code());
@@ -1320,7 +1638,8 @@ impl ClusterSim {
                         self.switch_all(pair);
                     }
                 }
-                JobEvent::ReduceShuffleDone(_) | JobEvent::JobDone => {}
+                JobEvent::JobDone => self.complete_job(job),
+                _ => {}
             }
         }
     }
@@ -1384,15 +1703,31 @@ impl ClusterSim {
                     self.rearm_cpu(gvm);
                 }
             }
-            Ev::MapFetchable { map } => {
-                for r in 0..self.tracker.num_reduces() {
-                    let rt_id = self.tracker.reduce_task_id(r);
+            Ev::MapFetchable { job, map } => {
+                let j = self.job_mut(job);
+                j.fetchable.push(map);
+                let (num_reduces, first) = (j.tracker.num_reduces(), j.tracker.reduce_task_id(0));
+                for rt_id in first..first + num_reduces {
                     if let Some(rt) = self.tasks.get_mut(&rt_id) {
                         rt.fetch_queue.push_back(map);
                     }
                 }
-                for r in 0..self.tracker.num_reduces() {
-                    self.try_start_fetches(r);
+                for r in 0..num_reduces {
+                    self.try_start_fetches(job, r);
+                }
+            }
+            Ev::JobArrive(id) => {
+                let shape = self.params.shape;
+                let s = self.stream.as_mut().expect("arrivals belong to a stream");
+                let spec = &s.arrivals[id as usize].job;
+                let bytes = spec.num_blocks(&shape) as u64 * spec.block_bytes;
+                let admit = self.active.len() < s.max_concurrent;
+                if !admit {
+                    s.waiting.push_back(id);
+                }
+                self.trace.push(t, TraceEvent::JobArrive { job: id as u64, bytes });
+                if admit {
+                    self.admit(id);
                 }
             }
             Ev::PolicyTick => {
@@ -1430,13 +1765,90 @@ impl ClusterSim {
 
     /// Execute the job to completion and report the outcome.
     pub fn run(&mut self) -> JobOutcome {
+        assert!(self.stream.is_none(), "a job stream runs with run_stream");
         self.trace
             .push(self.now, TraceEvent::Phase { phase: JobPhase::Ph1.code() });
         self.set_phase_all(JobPhase::Ph1.code());
-        let initial = self.tracker.initial_assignments();
-        for a in initial {
-            self.start_task(a);
+        self.fill_all_slots();
+        self.run_loop();
+        let tracker = &self.job(0).tracker;
+        let end = tracker.t_job_done.expect("job finished");
+        let phases = PhaseTimes::new(
+            SimTime::ZERO,
+            tracker.t_maps_done.expect("maps done"),
+            tracker.t_shuffle_done.expect("shuffle done"),
+            end,
+        );
+        for n in &mut self.nodes {
+            n.finish_meters(end);
         }
+        let metrics = self.export_metrics(&phases);
+        JobOutcome {
+            phases,
+            makespan: phases.total(),
+            progress: std::mem::take(&mut self.progress),
+            dom0_throughput: self
+                .nodes
+                .iter()
+                .map(|n| n.dom0_meter().samples().samples().to_vec())
+                .collect(),
+            vm_throughput: (0..self.params.shape.total_vms())
+                .map(|g| {
+                    let (node, vm) = self.gvm_loc(g);
+                    self.nodes[node as usize]
+                        .vm_meter(vm)
+                        .samples()
+                        .samples()
+                        .to_vec()
+                })
+                .collect(),
+            disk_stats: self.nodes.iter().map(|n| n.disk_stats().clone()).collect(),
+            switch_log: std::mem::take(&mut self.switch_log),
+            network_bytes: self.net.delivered_bytes() as u64,
+            metrics,
+            trace_digest: self.trace_digest(),
+            events_processed: self.events_processed,
+        }
+    }
+
+    /// Run the job stream until every job has completed.
+    pub fn run_stream(&mut self) -> StreamOutcome {
+        self.run_loop();
+        let s = self.stream.as_ref().expect("built with ClusterSim::stream");
+        let jobs = s
+            .arrivals
+            .iter()
+            .zip(&s.done_at)
+            .map(|(a, done)| (a.tenant, a.at, done.expect("every job completed")))
+            .collect();
+        let traces = || self.nodes.iter().map(|n| n.trace()).chain(std::iter::once(&self.trace));
+        StreamOutcome {
+            jobs,
+            slot_busy: self.slot_busy,
+            policy_ticks: self.policy_ticks,
+            switches: self.policy_decisions.clone(),
+            trace_records: traces().map(Trace::total).sum(),
+            trace_dropped: traces().map(Trace::dropped).sum(),
+            trace_digest: self.trace_digest(),
+        }
+    }
+
+    /// Combined digest of every node trace, then the cluster trace.
+    fn trace_digest(&self) -> u64 {
+        combine_digests(
+            self.nodes
+                .iter()
+                .map(|n| n.trace().digest())
+                .chain(std::iter::once(self.trace.digest())),
+        )
+    }
+
+    fn maps_done(&self) -> u32 {
+        self.active.iter().map(|&id| self.job(id).tracker.maps_done_count()).sum()
+    }
+
+    /// The one event loop: dispatch until every job has completed.
+    fn run_loop(&mut self) {
         if let Some((_, period)) = &self.online {
             let p = *period;
             self.queue.push(SimTime::ZERO + p, Ev::PolicyTick);
@@ -1450,7 +1862,7 @@ impl ClusterSim {
         // Claim all same-instant events in one queue touch; dispatch in
         // the exact (time, seq) order single pops would give.
         let mut batch: Vec<Ev> = Vec::with_capacity(64);
-        while !self.tracker.finished() {
+        while self.jobs_left > 0 {
             if progress && self.events_processed >> 20 != last_beat {
                 last_beat = self.events_processed >> 20;
                 let elapsed = wall_start.elapsed().as_secs_f64().max(1e-9);
@@ -1480,7 +1892,7 @@ impl ClusterSim {
                     rate,
                     sim_rate,
                     self.queue.len(),
-                    self.tracker.maps_done_count(),
+                    self.maps_done(),
                     self.streams.len(),
                     self.net.active_flows(),
                     frac * 100.0,
@@ -1510,67 +1922,23 @@ impl ClusterSim {
                 panic!(
                     "event queue drained before job completion (deadlock): \
                      {} maps done, streams={}, fetches={}",
-                    self.tracker.maps_done_count(),
+                    self.maps_done(),
                     self.streams.len(),
                     self.fetches.len()
                 );
             };
             self.now = t;
             for &ev in &batch {
-                // The job can finish mid-batch; stop exactly where a
-                // pop-per-event loop would have.
-                if self.tracker.finished() {
+                // The last job can finish mid-batch; stop exactly where
+                // a pop-per-event loop would have.
+                if self.jobs_left == 0 {
                     break;
                 }
                 self.events_processed += 1;
                 self.dispatch(t, ev);
             }
         }
-        let end = self.tracker.t_job_done.expect("job finished");
-        for n in &mut self.nodes {
-            n.finish_meters(end);
-        }
-        let phases = PhaseTimes::new(
-            SimTime::ZERO,
-            self.tracker.t_maps_done.expect("maps done"),
-            self.tracker.t_shuffle_done.expect("shuffle done"),
-            end,
-        );
-        let metrics = self.export_metrics(&phases);
-        let trace_digest = combine_digests(
-            self.nodes
-                .iter()
-                .map(|n| n.trace().digest())
-                .chain(std::iter::once(self.trace.digest())),
-        );
-        JobOutcome {
-            phases,
-            makespan: phases.total(),
-            progress: std::mem::take(&mut self.progress),
-            dom0_throughput: self
-                .nodes
-                .iter()
-                .map(|n| n.dom0_meter().samples().samples().to_vec())
-                .collect(),
-            vm_throughput: (0..self.params.shape.total_vms())
-                .map(|g| {
-                    let (node, vm) = self.gvm_loc(g);
-                    self.nodes[node as usize]
-                        .vm_meter(vm)
-                        .samples()
-                        .samples()
-                        .to_vec()
-                })
-                .collect(),
-            disk_stats: self.nodes.iter().map(|n| n.disk_stats().clone()).collect(),
-            switch_log: std::mem::take(&mut self.switch_log),
-            network_bytes: self.net.delivered_bytes() as u64,
-            metrics,
-            trace_digest,
-            events_processed: self.events_processed,
-        }
     }
-
     /// Build the per-run metrics document: cluster sections first
     /// (run, phases), then every node's per-layer sections folded in
     /// node order, the node-0 throughput probe (the paper instruments a
@@ -1680,28 +2048,4 @@ impl ClusterSim {
 /// outcome.
 pub fn run_job(params: &ClusterParams, job: &JobSpec, plan: SwitchPlan) -> JobOutcome {
     ClusterSim::new(params.clone(), job.clone(), plan).run()
-}
-
-/// Run several jobs back-to-back, recycling one calendar event queue
-/// across them via [`simcore::EventQueue::reset`] — the allocation
-/// pattern of a long-lived multi-job service. Each job still gets a
-/// fresh cluster state; only the queue's bucket storage is reused, so
-/// every outcome must be bit-identical to a fresh-driver run (see
-/// `tests/determinism.rs`).
-pub fn run_jobs_sequential(
-    params: &ClusterParams,
-    jobs: &[(JobSpec, SwitchPlan)],
-) -> Vec<JobOutcome> {
-    let mut recycled: Option<EventQueue<Ev>> = None;
-    let mut out = Vec::with_capacity(jobs.len());
-    for (job, plan) in jobs {
-        let mut sim = ClusterSim::new(params.clone(), job.clone(), *plan);
-        if let Some(mut q) = recycled.take() {
-            q.reset();
-            sim.queue = q;
-        }
-        out.push(sim.run());
-        recycled = Some(std::mem::replace(&mut sim.queue, EventQueue::with_capacity(0)));
-    }
-    out
 }

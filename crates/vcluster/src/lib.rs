@@ -32,13 +32,12 @@ pub mod network;
 pub mod sweep;
 
 pub use jobs::{
-    poisson_arrivals, run_service, ArrivalSpec, FixedPolicy, PhaseMix, ServiceOutcome,
-    ServiceParams, ServicePolicy, SlotLedger, Tenant, TenantMix, TenantProfile,
+    poisson_arrivals, run_service, ArrivalSpec, ServiceOutcome, ServiceParams, Tenant, TenantMix,
 };
 
 pub use driver::{
-    run_job, run_jobs_sequential, ClusterParams, ClusterSim, ClusterSnapshot, JobOutcome,
-    OnlinePolicy, PolicyAudit, SwitchPlan,
+    run_job, ClusterParams, ClusterSim, ClusterSnapshot, JobOutcome, OnlinePolicy, PhaseMix,
+    PolicyAudit, StreamJob, StreamOutcome, SwitchPlan,
 };
 pub use network::{FlowId, NaiveNetwork, NetParams, Network};
 pub use sweep::{

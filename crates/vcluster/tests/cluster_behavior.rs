@@ -163,3 +163,47 @@ fn heartbeat_does_not_change_volumes() {
     let b = run_job(&p, &j, SwitchPlan::single(SchedPair::DEFAULT));
     assert_eq!(a.network_bytes, b.network_bytes);
 }
+
+/// A job stream is the single-job run plus admission: one job arriving
+/// alone takes exactly the single-job makespan, and a second job that
+/// arrives later overlaps it, sharing slots, and still completes.
+#[test]
+fn a_stream_of_one_job_runs_like_the_single_job() {
+    use simcore::SimTime;
+    use vcluster::{ClusterSim, StreamJob};
+    let (p, j) = tiny();
+    let single = run_job(&p, &j, SwitchPlan::single(SchedPair::DEFAULT)).makespan;
+    let at = |s: u64| StreamJob { at: SimTime::from_secs(s), tenant: 0, job: j.clone() };
+    let run = |jobs: Vec<StreamJob>| {
+        ClusterSim::stream(p.clone(), jobs, 1, 8, SchedPair::DEFAULT).run_stream().jobs
+    };
+    let alone = run(vec![at(0)]);
+    assert_eq!(alone[0].2.saturating_since(alone[0].1), single);
+    let pair = run(vec![at(0), at(2)]);
+    assert!(pair[1].1 < pair[0].2, "the second job must arrive while the first runs");
+    assert!(pair[0].2.saturating_since(pair[0].1) > single, "sharing slows the first job");
+}
+
+/// A finished job's files are deleted, so a stream far longer than one
+/// VM disk holds still runs: twenty sorts back to back on VM disks
+/// that hold the input of sixteen (and the input, spills, map output,
+/// shuffle, merge and output files of one), each job taking the
+/// space the previous ones released.
+#[test]
+fn a_long_stream_reuses_finished_jobs_disk_space() {
+    use simcore::SimTime;
+    use vcluster::{ClusterSim, StreamJob};
+    let (mut p, mut j) = tiny();
+    j.data_per_vm_bytes = 16 * 1024 * 1024;
+    let jobs = 20u64;
+    p.node.vm_extent_sectors = 16 * j.data_per_vm_bytes / 512;
+    assert!(jobs * j.data_per_vm_bytes / 512 > p.node.vm_extent_sectors);
+    let stream = (0..jobs)
+        .map(|_| StreamJob { at: SimTime::ZERO, tenant: 0, job: j.clone() })
+        .collect();
+    let out = ClusterSim::stream(p, stream, 1, 1, SchedPair::DEFAULT).run_stream();
+    assert_eq!(out.jobs.len(), jobs as usize);
+    for w in out.jobs.windows(2) {
+        assert!(w[0].2 <= w[1].2, "one job at a time completes in arrival order");
+    }
+}

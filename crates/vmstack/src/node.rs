@@ -380,11 +380,6 @@ impl NodeStack {
         &self.guests[vm as usize].meter
     }
 
-    /// Mutable per-VM meter.
-    pub fn vm_meter_mut(&mut self, vm: VmId) -> &mut ThroughputMeter {
-        &mut self.guests[vm as usize].meter
-    }
-
     /// The physical disk's cumulative statistics.
     pub fn disk_stats(&self) -> &blkdev::DiskStats {
         self.disk.stats()

@@ -80,9 +80,11 @@ cargo run -q --release --offline -p adios-report -- diff \
 rm -f "${bench_json}" "${metrics_json}"
 
 # Multi-job service smoke: a short 3-tenant Poisson stream through
-# `serve-jobs` under the strict oracle (slot capacities, job
-# lifecycle, byte conservation fail the run), emitting a schema-bumped
-# adios.metrics/3 document that adios-report renders.
+# `serve-jobs` on the cluster stack under the strict oracle (the
+# cluster trace and every node trace are replayed: elevator
+# invariants, slot capacities, job lifecycle and byte conservation
+# fail the run), emitting a schema-bumped adios.metrics/3 document
+# that adios-report renders.
 service_json="$(mktemp)"
 ADIOS_STRICT=1 cargo run -q --release --offline --bin repro-cli -- serve-jobs \
   --nodes 2 --vms 2 --data-mb 16 --duration-s 60 --rate 6 --seed 42 \
@@ -129,6 +131,10 @@ set -e
   || { echo "error: injected violation must fail the strict run (got ${flight_rc})" >&2; exit 1; }
 grep -q '"schema":"adios.flight/1"' "${flight_json}" \
   || { echo "error: strict failure must leave an adios.flight/1 dump" >&2; exit 1; }
+# Only ClusterSim::flight_dump writes node traces: the service ran on
+# the cluster stack, not on a separate service loop.
+grep -q '"node_traces"' "${flight_json}" \
+  || { echo "error: serve-jobs flight dump must carry node_traces" >&2; exit 1; }
 set +e
 cargo run -q --release --offline -p adios-report -- replay "${flight_json}" > /dev/null
 replay_rc=$?

@@ -15,8 +15,8 @@
 //! repro-cli waves [--data-mb 128,192,256,320,384,448,512]
 //! repro-cli serve-jobs [--nodes 4] [--vms 4] [--duration-s 300] [--rate 6]
 //!                 [--seed 42] [--tenants sort:2,wordcount:1] [--data-mb 64]
-//!                 [--policy adaptive|PAIR] [--margin 0.05] [--switch-cost-ms 500]
-//!                 [--retune-s 5] [--max-concurrent 8] [--arrivals-file FILE]
+//!                 [--policy adaptive|PAIR] [--margin 0.05] [--retune-s 5]
+//!                 [--max-concurrent 8] [--arrivals-file FILE]
 //!                 [--metrics-out FILE] [--flight-out FILE]
 //! ```
 //!
@@ -50,17 +50,19 @@
 //! `serve-jobs` runs the multi-job cluster service: an open-loop
 //! Poisson stream (or an `adios.jobs/1` arrival trace via
 //! `--arrivals-file`) of weighted tenant jobs sharing one cluster's
-//! map/reduce slots. `--policy adaptive` calibrates every tenant under
-//! all 16 pairs (through the shared eval cache) and retunes the
-//! installed pair from the live phase mix; any pair code pins a static
-//! baseline. With `ADIOS_STRICT=1` the service trace is replayed
-//! through the oracle (slot capacities, job lifecycle, byte
-//! conservation) and violations fail the run — writing an
-//! `adios.flight/1` post-mortem to `--flight-out` (or a temp path)
-//! first, so the failure is replayable offline with `adios-report
-//! replay`. `ADIOS_INJECT_VIOLATION=1` appends a bogus job-completion
-//! record before the strict replay — the CI hook that proves the
-//! whole dump/replay path end to end.
+//! map/reduce slots and disks, on the same event loop as `run`.
+//! `--policy adaptive` calibrates every tenant under all 16 pairs
+//! (through the shared eval cache) and retunes the installed pair from
+//! the live phase mix, each switch paying the real drain; any pair code
+//! pins a static baseline. With `ADIOS_STRICT=1` the cluster trace and
+//! every node trace are replayed through the oracle (elevator
+//! invariants, slot capacities, job lifecycle, byte conservation) and
+//! violations fail the run — writing the run's `adios.flight/1`
+//! post-mortem to `--flight-out` (or a temp path) first, so the failure
+//! is replayable offline with `adios-report replay`.
+//! `ADIOS_INJECT_VIOLATION=1` appends a bogus job-completion record to
+//! the cluster trace before the strict replay — the CI hook that proves
+//! the whole dump/replay path end to end.
 //!
 //! `run --profile-out FILE` exports the span profiler's accumulated
 //! tree as an `adios.profile/1` document after the run (`--telemetry`
@@ -84,9 +86,9 @@ use adaptive_disk_sched::metasched::{
 use adaptive_disk_sched::mrsim::{JobPhase, JobSpec, WorkloadSpec};
 use adaptive_disk_sched::vcluster::{
     run_job, run_service, run_sweep, stamp_manifest, ArrivalSpec, ClusterParams, ClusterSim,
-    FixedPolicy, RunManifest, ServiceParams, ServicePolicy, SweepGrid, SwitchPlan, TenantMix,
+    OnlinePolicy, RunManifest, ServiceParams, SweepGrid, SwitchPlan, TenantMix,
 };
-use simcore::{Json, OracleConfig, SimDuration, Telemetry, TraceOracle};
+use simcore::{Json, SimDuration, Telemetry};
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -597,8 +599,13 @@ fn cmd_waves(flags: HashMap<String, String>) {
 
 fn cmd_serve_jobs(flags: HashMap<String, String>) {
     validate_out_flags(&flags, &["metrics-out", "flight-out"]);
-    let params = cluster(&flags);
+    let mut params = cluster(&flags);
     simcore::prof::set_level(params.node.telemetry);
+    let strict = std::env::var("ADIOS_STRICT").map(|v| v == "1").unwrap_or(false);
+    if strict {
+        // The oracle replays the full history of every trace.
+        params.node.trace_capacity = usize::MAX;
+    }
     let data_mb: u64 = flags
         .get("data-mb")
         .map(|v| v.parse().expect("--data-mb"))
@@ -611,10 +618,7 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
         eprintln!("--tenants: {e}");
         exit(2);
     });
-    let mut sp = ServiceParams {
-        shape: params.shape,
-        ..ServiceParams::default()
-    };
+    let mut sp = ServiceParams::default();
     if let Some(v) = flags.get("duration-s") {
         sp.duration = SimDuration::from_secs(v.parse().expect("--duration-s"));
     }
@@ -623,9 +627,6 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
     }
     if let Some(v) = flags.get("retune-s") {
         sp.retune_period = SimDuration::from_secs(v.parse().expect("--retune-s"));
-    }
-    if let Some(v) = flags.get("switch-cost-ms") {
-        sp.switch_cost = SimDuration::from_millis(v.parse().expect("--switch-cost-ms"));
     }
     if let Some(v) = flags.get("max-concurrent") {
         sp.max_concurrent = v.parse().expect("--max-concurrent");
@@ -651,32 +652,35 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
         }
         None => ArrivalSpec::Poisson { rate_per_min: rate },
     };
-    // Calibrate every tenant under all 16 pairs with real single-job
-    // runs (the adaptive policy needs the full table; static baselines
-    // still use it for task service times).
-    let cache = EvalCache::new();
-    let profiles = calibrate_tenants(&params, &mix, &cache);
     let margin: f64 = flags
         .get("margin")
         .map(|v| v.parse().expect("--margin"))
         .unwrap_or(0.05);
-    let mut policy: Box<dyn ServicePolicy> =
+    let (pair, policy): (SchedPair, Option<Box<dyn OnlinePolicy>>) =
         match flags.get("policy").map(String::as_str).unwrap_or("adaptive") {
-            "adaptive" => Box::new(BlendedTuner::new(profiles.clone(), margin)),
-            code => Box::new(FixedPolicy(code.parse().unwrap_or_else(|e| {
-                eprintln!("--policy must be `adaptive` or a pair code: {e}");
-                exit(2);
-            }))),
+            "adaptive" => {
+                // Calibrate every tenant under all 16 pairs with real
+                // single-job runs: the blended tuner's score table.
+                let profiles = calibrate_tenants(&params, &mix, &EvalCache::new());
+                (SchedPair::DEFAULT, Some(Box::new(BlendedTuner::new(profiles, margin))))
+            }
+            code => (
+                code.parse().unwrap_or_else(|e| {
+                    eprintln!("--policy must be `adaptive` or a pair code: {e}");
+                    exit(2);
+                }),
+                None,
+            ),
         };
-    let out = run_service(&sp, &mix, &profiles, &arrivals, policy.as_mut());
+    let mut out = run_service(&params, &sp, &mix, &arrivals, pair, policy);
     println!(
         "serve-jobs: {} tenants ({mix_str}), {} arrivals over {:.0}s on {}x{} VMs, policy {}",
         mix.tenants.len(),
         out.arrivals,
         sp.duration.as_secs_f64(),
-        sp.shape.nodes,
-        sp.shape.vms_per_node,
-        policy.name(),
+        params.shape.nodes,
+        params.shape.vms_per_node,
+        out.metrics.get("policy").and_then(Json::as_str).unwrap_or("?"),
     );
     println!(
         "  completed {} / makespan {:.1}s / throughput {:.2} jobs/min",
@@ -695,52 +699,26 @@ fn cmd_serve_jobs(flags: HashMap<String, String>) {
         out.retunes,
         out.switches
     );
-    if std::env::var("ADIOS_STRICT").map(|v| v == "1").unwrap_or(false) {
-        let mut records: Vec<simcore::trace::TraceRecord> =
-            out.trace.records().copied().collect();
+    if strict {
         // The CI end-to-end hook: a deliberately impossible record
         // (completion of a job that never arrived) proves the whole
         // violation -> flight dump -> offline replay path.
         if std::env::var("ADIOS_INJECT_VIOLATION").map(|v| v == "1").unwrap_or(false) {
-            records.push(simcore::trace::TraceRecord {
-                t: simcore::SimTime::ZERO + sp.duration,
-                ev: simcore::trace::TraceEvent::JobComplete { job: 999_999 },
-            });
+            let t = simcore::SimTime::ZERO + sp.duration;
+            let ev = simcore::trace::TraceEvent::JobComplete { job: 999_999 };
+            out.sim.trace_mut().push(t, ev);
         }
-        let mut oracle = TraceOracle::new(OracleConfig {
-            map_slots_per_vm: Some(sp.shape.map_slots_per_vm),
-            reduce_slots_per_vm: Some(sp.shape.reduce_slots_per_vm),
-            ..OracleConfig::default()
-        });
-        oracle.replay_records(&records);
-        let violations = oracle.violations();
+        let violations = out.sim.oracle_violations();
         if violations.is_empty() {
-            println!("  oracle: clean ({} records)", out.trace.total());
+            println!("  oracle: clean (cluster trace and every node trace)");
         } else {
-            for v in violations {
+            for v in &violations {
                 eprintln!("  oracle violation: {v}");
             }
-            // Dump the replayed trace as an adios.flight/1 post-mortem
-            // before failing, so the violation is reproducible offline
-            // with `adios-report replay`.
-            let dump = Json::obj()
-                .field("schema", "adios.flight/1")
-                .field("reason", "oracle violation")
-                .field("nodes", sp.shape.nodes as u64)
-                .field("vms", sp.shape.total_vms() as u64)
-                .field("events", out.trace.total())
-                .field("t_s", out.makespan.as_secs_f64())
-                .field("snapshots", Json::Arr(Vec::new()))
-                .field(
-                    "cluster_trace",
-                    Json::obj()
-                        .field("total", out.trace.total())
-                        .field("dropped", out.trace.dropped())
-                        .field(
-                            "records",
-                            Json::Arr(records.iter().map(|r| r.to_json()).collect()),
-                        ),
-                );
+            // Dump every trace as an adios.flight/1 post-mortem before
+            // failing, so the violation is reproducible offline with
+            // `adios-report replay`.
+            let dump = out.sim.flight_dump("oracle violation");
             let path = flags
                 .get("flight-out")
                 .cloned()

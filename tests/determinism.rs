@@ -188,40 +188,23 @@ fn sweep_128_node_cell_thread_invariant() {
 /// state is safe.)
 #[test]
 fn sim_threads_env_override_is_result_invariant() {
-    use adaptive_disk_sched::vcluster::{
-        run_service, ArrivalSpec, FixedPolicy, ServiceParams, TenantMix, TenantProfile,
-    };
+    use adaptive_disk_sched::vcluster::{run_service, ArrivalSpec, ServiceParams, TenantMix};
     let params = small_cluster();
     let job = sort_job(96);
     let pairs = SchedPair::all();
     let run = |p: &SchedPair| run_job(&params, &job, SwitchPlan::single(*p)).makespan;
-    // Fixed synthetic calibration so the service runs do not depend on
-    // the inner cluster model's timings.
-    let profiles: Vec<TenantProfile> = (0..2)
-        .map(|t| TenantProfile {
-            phase: (0..pairs.len())
-                .map(|i| {
-                    let k = i as f64 + t as f64;
-                    [
-                        SimDuration::from_secs_f64(20.0 + k),
-                        SimDuration::from_secs_f64(8.0 + 0.5 * k),
-                        SimDuration::from_secs_f64(12.0 - 0.25 * k),
-                    ]
-                })
-                .collect(),
-        })
-        .collect();
-    let mix = TenantMix::parse("sort:1,wordcount:1", 32 * 1024 * 1024).expect("tenant mix");
+    let mix = TenantMix::parse("sort:1,wordcount:1", 16 * 1024 * 1024).expect("tenant mix");
     let seeds = [7u64, 11];
     let service = |&seed: &u64| {
-        let mut sp = ServiceParams::default();
-        sp.shape.nodes = 2;
-        sp.shape.vms_per_node = 2;
-        sp.duration = SimDuration::from_secs(120);
-        sp.seed = seed;
+        let mut traced = small_cluster();
+        traced.node.trace_capacity = 1 << 12;
+        let sp = ServiceParams {
+            duration: SimDuration::from_secs(60),
+            seed,
+            ..ServiceParams::default()
+        };
         let spec = ArrivalSpec::Poisson { rate_per_min: 4.0 };
-        let mut policy = FixedPolicy(SchedPair::DEFAULT);
-        let out = run_service(&sp, &mix, &profiles, &spec, &mut policy);
+        let out = run_service(&traced, &sp, &mix, &spec, SchedPair::DEFAULT, None);
         (out.completed, out.trace_digest, out.metrics.to_string())
     };
     let mut sweeps = Vec::new();
@@ -238,30 +221,67 @@ fn sim_threads_env_override_is_result_invariant() {
     assert_eq!(services[0], services[2], "SIM_THREADS=8 changed service metrics docs");
 }
 
-/// Back-to-back jobs on one driver recycle the calendar event queue
-/// (`EventQueue::reset` — the epoch/watermark reuse path). The
-/// recycling must be invisible: the same two jobs run on fresh drivers
-/// produce bit-identical outcomes, metrics bytes and trace digests.
+/// Telemetry is observation only: `off`, `counters` and `full` change
+/// what gets measured, never what happens. With a bounded trace ring
+/// enabled, a 4x4 sort and a short 2x2 job stream produce the same
+/// schedule, bytes and trace digest at every level.
 #[test]
-fn sequential_jobs_match_fresh_drivers() {
-    use adaptive_disk_sched::vcluster::run_jobs_sequential;
-    let params = small_cluster();
-    let pairs = SchedPair::all();
-    let jobs = vec![
-        (sort_job(96), SwitchPlan::single(SchedPair::DEFAULT)),
-        (sort_job(128), SwitchPlan::single(pairs[5])),
-    ];
-    let seq = run_jobs_sequential(&params, &jobs);
-    assert_eq!(seq.len(), jobs.len());
-    for ((job, plan), got) in jobs.iter().zip(&seq) {
-        let fresh = run_job(&params, job, *plan);
-        assert_eq!(got.phases, fresh.phases, "phase times drifted");
-        assert_eq!(fingerprint(got), fingerprint(&fresh), "outcome drifted");
-        assert_eq!(got.trace_digest, fresh.trace_digest, "trace digest drifted");
-        assert_eq!(
-            got.metrics.to_string(),
-            fresh.metrics.to_string(),
-            "metrics bytes drifted"
-        );
+fn outputs_are_invariant_to_telemetry_level() {
+    use adaptive_disk_sched::metasched::{BlendedTuner, TenantProfile};
+    use adaptive_disk_sched::vcluster::{run_service, ArrivalSpec, ServiceParams, TenantMix};
+    use simcore::Telemetry;
+    let levels = [Telemetry::Off, Telemetry::Counters, Telemetry::Full];
+    let sort = |level: Telemetry| {
+        let mut params = ClusterParams::default();
+        params.node.telemetry = level;
+        params.node.trace_capacity = 1 << 12;
+        let out = run_job(&params, &sort_job(64), SwitchPlan::single(SchedPair::DEFAULT));
+        let disks: Vec<String> = out.disk_stats.iter().map(|d| format!("{d:?}")).collect();
+        (out.makespan, out.phases, out.events_processed, out.network_bytes, disks, out.trace_digest)
+    };
+    let mix = TenantMix::parse("sort:2,wordcount:1", 16 * 1024 * 1024).expect("tenant mix");
+    // Synthetic profiles whose pair rankings cross by phase, so the
+    // blended tuner switches and the switch log is exercised.
+    let profiles: Vec<TenantProfile> = (0..2)
+        .map(|_| TenantProfile {
+            phase: (0..16)
+                .map(|i| {
+                    let k = i as f64;
+                    [10.0 + 3.0 * k, 40.0 - 2.0 * k, 20.0 - k].map(SimDuration::from_secs_f64)
+                })
+                .collect(),
+        })
+        .collect();
+    let service = |level: Telemetry| {
+        let mut params = small_cluster();
+        params.node.telemetry = level;
+        params.node.trace_capacity = 1 << 12;
+        let sp = ServiceParams {
+            duration: SimDuration::from_secs(60),
+            retune_period: SimDuration::from_secs(2),
+            ..ServiceParams::default()
+        };
+        let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
+        let tuner = Box::new(BlendedTuner::new(profiles.clone(), 0.02));
+        let out = run_service(&params, &sp, &mix, &spec, SchedPair::DEFAULT, Some(tuner));
+        // The doc's `policy` name is followed by a `policy` section
+        // holding the switch log: take the section.
+        let section = |name: &str| {
+            let entries = out.metrics.entries().expect("metrics object");
+            entries.iter().rev().find(|(k, _)| k == name).map(|(_, v)| v.to_string())
+        };
+        (out.completed, section("latency"), section("policy"), out.trace_digest)
+    };
+    let sorts: Vec<_> = levels.iter().map(|&l| sort(l)).collect();
+    let services: Vec<_> = levels.iter().map(|&l| service(l)).collect();
+    assert!(services[0].0 > 0, "the stream must see arrivals");
+    assert!(
+        services[0].2.as_deref().is_some_and(|p| !p.contains("\"switches\":0")),
+        "the tuner must switch at least once: {:?}",
+        services[0].2
+    );
+    for i in 1..levels.len() {
+        assert_eq!(sorts[0], sorts[i], "sort changed at {:?}", levels[i]);
+        assert_eq!(services[0], services[i], "service changed at {:?}", levels[i]);
     }
 }

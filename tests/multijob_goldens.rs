@@ -1,19 +1,19 @@
 //! Multi-job service goldens: hardcoded fingerprints of small
-//! reference service runs (3-tenant Poisson streams), pinning the
-//! `adios.metrics/3` document bytes and the multi-job trace digest.
-//! Seeded exactly like `tests/kernel_goldens.rs`: the fingerprints must
-//! reproduce bit-for-bit on every worker count (`SIM_THREADS=1/2/8`
-//! equivalents via `par_map_threads`).
+//! reference service runs (3-tenant Poisson streams on a 2x2 cluster
+//! stack), pinning the `adios.metrics/3` document bytes and the digest
+//! of every trace (cluster lifecycle plus node I/O). Seeded exactly
+//! like `tests/kernel_goldens.rs`: the fingerprints must reproduce
+//! bit-for-bit on every worker count (`SIM_THREADS=1/2/8` equivalents
+//! via `par_map_threads`).
 //!
 //! If a *deliberate* behaviour change ever invalidates these numbers,
 //! re-capture them with the printing helper below and say so in the
 //! commit message.
 
 use adaptive_disk_sched::iosched::SchedPair;
-use adaptive_disk_sched::metasched::BlendedTuner;
+use adaptive_disk_sched::metasched::{BlendedTuner, TenantProfile};
 use adaptive_disk_sched::vcluster::{
-    run_service, ArrivalSpec, FixedPolicy, ServiceOutcome, ServiceParams, ServicePolicy,
-    TenantMix, TenantProfile,
+    run_service, ArrivalSpec, ClusterParams, ServiceOutcome, ServiceParams, TenantMix,
 };
 use simcore::par::par_map_threads;
 use simcore::SimDuration;
@@ -43,7 +43,8 @@ fn mix() -> TenantMix {
 
 /// Synthetic calibration with phase-crossing pair rankings (pair 0
 /// fastest for maps, the last pair fastest for the tail) — fixed
-/// numbers, so the goldens do not depend on the inner cluster model.
+/// numbers, so the adaptive goldens do not depend on a calibration
+/// pass.
 fn profiles() -> Vec<TenantProfile> {
     let n = SchedPair::all().len();
     (0..3)
@@ -65,24 +66,18 @@ fn profiles() -> Vec<TenantProfile> {
 }
 
 fn run(seed: u64, adaptive: bool) -> ServiceOutcome {
-    let mut params = ServiceParams::default();
+    let mut params = ClusterParams::default();
     params.shape.nodes = 2;
     params.shape.vms_per_node = 2;
-    params.duration = SimDuration::from_secs(180);
-    params.seed = seed;
-    let mix = mix();
-    let profiles = profiles();
-    let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
-    let mut fixed;
-    let mut blended;
-    let policy: &mut dyn ServicePolicy = if adaptive {
-        blended = BlendedTuner::new(profiles.clone(), 0.02);
-        &mut blended
-    } else {
-        fixed = FixedPolicy(SchedPair::DEFAULT);
-        &mut fixed
+    params.node.trace_capacity = 1 << 12;
+    let sp = ServiceParams {
+        duration: SimDuration::from_secs(180),
+        seed,
+        ..ServiceParams::default()
     };
-    run_service(&params, &mix, &profiles, &spec, policy)
+    let spec = ArrivalSpec::Poisson { rate_per_min: 6.0 };
+    let tuner = adaptive.then(|| Box::new(BlendedTuner::new(profiles(), 0.02)) as _);
+    run_service(&params, &sp, &mix(), &spec, SchedPair::DEFAULT, tuner)
 }
 
 fn fingerprint(seed: u64, adaptive: bool) -> (u64, u64, u64) {
@@ -102,9 +97,9 @@ fn fingerprint(seed: u64, adaptive: bool) -> (u64, u64, u64) {
 /// Captured with
 /// `cargo test -q --test multijob_goldens -- --ignored --nocapture`.
 const GOLDENS: &[Golden] = &[
-    Golden { seed: 42, adaptive: false, completed: 22, trace_digest: 0x97dc5affb150a339, metrics_fnv: 0xf7b31e2c10d96f87 },
-    Golden { seed: 42, adaptive: true, completed: 22, trace_digest: 0xfc4372d079b2fc9d, metrics_fnv: 0x29a9fb57b091cdd9 },
-    Golden { seed: 7, adaptive: true, completed: 16, trace_digest: 0xf9825db2655ddff0, metrics_fnv: 0x0f355f8e70c3ff2d },
+    Golden { seed: 42, adaptive: false, completed: 22, trace_digest: 0x42303bf078af63ff, metrics_fnv: 0x742bd74fc74c8282 },
+    Golden { seed: 42, adaptive: true, completed: 22, trace_digest: 0x457676c9682a71f5, metrics_fnv: 0x335e4fa2dea2626d },
+    Golden { seed: 7, adaptive: true, completed: 16, trace_digest: 0x68064ba1eecd4414, metrics_fnv: 0x6501a0a457145f67 },
 ];
 
 #[test]

@@ -10,7 +10,6 @@ use adaptive_disk_sched::iosched::{SchedKind, SchedPair};
 use adaptive_disk_sched::mrsim::{JobSpec, WorkloadSpec};
 use adaptive_disk_sched::vcluster::{run_job, ClusterParams, ClusterSim, SwitchPlan};
 use simcore::par::par_map;
-use simcore::{OracleConfig, TraceOracle};
 
 #[test]
 fn all_sixteen_pairs_match_the_papers_shape() {
@@ -104,7 +103,7 @@ fn all_sixteen_pairs_match_the_papers_shape() {
 }
 
 /// Replay the structured event trace of a full (small-scale) sort job
-/// through the [`TraceOracle`] for every one of the 16 (VMM, VM)
+/// through the [`simcore::TraceOracle`] for every one of the 16 (VMM, VM)
 /// pairs: request lifecycle order, exact merge tiling, quiesce
 /// discipline around hot switches, the blkfront ring bound, deadline
 /// expiry service bounds, flow pairing and phase monotonicity must all
@@ -127,26 +126,22 @@ fn trace_oracle_is_clean_for_all_sixteen_pairs() {
         let out = sim.run();
         assert!(out.makespan.as_secs_f64() > 1.0, "{p}: degenerate run");
         // Per-node traces carry the block-stack events (the oracle's
-        // deadline shadow uses the elevator's stock tunables).
+        // deadline shadow uses the elevator's stock tunables), the
+        // cluster trace flows and phases; a dropped record is itself a
+        // violation.
         for n in 0..params.shape.nodes as usize {
-            let trace = sim.node(n).trace();
-            assert!(!trace.is_empty(), "{p}: node {n} recorded nothing");
-            assert_eq!(trace.dropped(), 0, "{p}: node {n} dropped records");
-            let mut oracle = TraceOracle::new(OracleConfig::default());
-            oracle.replay(trace);
-            oracle.assert_clean();
+            assert!(!sim.node(n).trace().is_empty(), "{p}: node {n} recorded nothing");
         }
-        // The cluster-level trace carries flow and phase events.
-        let mut oracle = TraceOracle::default();
-        oracle.replay(sim.trace());
-        oracle.assert_clean();
+        let violations = sim.oracle_violations();
+        assert!(violations.is_empty(), "{p}: {violations:#?}");
     });
 }
 
-/// A 3-tenant multi-job service smoke, calibrated from real runs:
-/// every arrival completes, and the service trace replays through the
-/// oracle's multi-job invariants with zero violations — no slot
-/// oversubscription on any VM, job lifecycle ordering
+/// A 3-tenant multi-job service smoke on the cluster stack, tuned from
+/// real calibration runs: every arrival completes, and the cluster
+/// trace plus every node trace replay through the oracle with zero
+/// violations — elevator invariants under interleaved job streams, no
+/// slot oversubscription on any VM, job lifecycle ordering
 /// (arrive ≤ admit ≤ first task ≤ complete), and per-job map byte
 /// conservation.
 #[test]
@@ -167,24 +162,18 @@ fn multijob_service_trace_is_oracle_clean() {
         "calibration must record its profiles in the shared cache"
     );
 
+    params.node.trace_capacity = usize::MAX;
     let sp = ServiceParams {
-        shape: params.shape,
         duration: SimDuration::from_secs(180),
         seed: 11,
         ..ServiceParams::default()
     };
     let spec = ArrivalSpec::Poisson { rate_per_min: 5.0 };
-    let mut policy = BlendedTuner::new(profiles.clone(), 0.05);
-    let out = run_service(&sp, &mix, &profiles, &spec, &mut policy);
+    let tuner = Box::new(BlendedTuner::new(profiles, 0.05));
+    let out = run_service(&params, &sp, &mix, &spec, SchedPair::DEFAULT, Some(tuner));
 
     assert!(out.arrivals >= 3, "window too quiet: {} arrivals", out.arrivals);
     assert_eq!(out.arrivals, out.completed, "open-loop service must drain");
-    assert_eq!(out.trace.dropped(), 0, "oracle needs the full history");
-    let mut oracle = TraceOracle::new(OracleConfig {
-        map_slots_per_vm: Some(sp.shape.map_slots_per_vm),
-        reduce_slots_per_vm: Some(sp.shape.reduce_slots_per_vm),
-        ..OracleConfig::default()
-    });
-    oracle.replay(&out.trace);
-    oracle.assert_clean();
+    let violations = out.sim.oracle_violations();
+    assert!(violations.is_empty(), "oracle violations: {violations:#?}");
 }
